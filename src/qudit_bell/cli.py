@@ -10,8 +10,8 @@ Reports print as aligned text by default; ``--format json`` and
 ``--format csv`` emit machine-readable versions whose floats
 round-trip at full precision.  ``QUDIT_BELL_OUTPUT_DIR`` names the
 default directory for files the CLI creates on its own (currently the
-optimizer trace).  Exit codes: 0 success, 2 usage or validation error,
-3 internal cross-check failure.
+optimizer trace).  Exit codes: 0 success, 2 usage or validation error
+or an unwritable output file, 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expressions import FAMILIES, build_expression, evaluate
+from .expressions import FAMILIES, SCHEMA_VERSION, build_expression, evaluate
 from .local_models import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -51,7 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
 
-SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QUDIT_BELL_OUTPUT_DIR"
 
 # Reference decimals are checked at this relative tolerance.
@@ -118,6 +117,15 @@ def _output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
+def _write_file(path: Path, write) -> None:
+    """Create the parent directory and call ``write(path)``; map I/O failures to exit 2."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args: argparse.Namespace, report: Report) -> None:
     if args.format == "json":
         text = json.dumps(report.payload, indent=2) + "\n"
@@ -131,8 +139,7 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
         text = "\n".join(report.human) + "\n"
     if args.output:
         path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_file(path, lambda target: target.write_text(text))
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
@@ -339,8 +346,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
     trace_path = Path(args.trace_out) if args.trace_out else (
         _output_dir() / f"optimize_trace_{args.family}_d{d}.csv"
     )
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(result, trace_path)
+    _write_file(trace_path, lambda target: write_trace_csv(result, target))
     payload = _base_payload(
         "optimize",
         family=args.family,
@@ -496,11 +502,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         report, status = args.handler(args)
+        _emit(args, report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
-    _emit(args, report)
     return status

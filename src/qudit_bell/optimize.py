@@ -10,19 +10,36 @@ all of them.  The level-0 phase of every setting is pinned to zero
 (global phases do not change probabilities), so a varied party
 contributes d-1 parameters per setting.  Fixed blocks stay at the
 reference construction: linear reference phases and equal state weights.
+
+The search evaluates through the circulant form.  Every built-in
+coefficient tensor depends on (k - l) mod d only, and so does every
+Born-rule table of this setup, so the value is sum c * |A|^2 over four
+length-d shift-weight vectors c (scaled by d) and the amplitude vectors
+
+    A[ab, m] = (1/d) * sum_j w_j exp(i [phi_a(j) + chi_b(j) + 2 pi j m / d]),
+
+one (4, d) matrix product per evaluation.  The reported best point is
+replayed through the dense Born-rule table and tensor contraction.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .expressions import FAMILIES, build_expression, evaluate
-from .quantum import MeasurementPhases, QuantumSetup, born_rule_distribution
+from .expressions import FAMILIES, BellExpression, build_expression, evaluate
+from .quantum import (
+    REFERENCE_ALICE_SLOPES,
+    REFERENCE_BOB_SLOPES,
+    MeasurementPhases,
+    QuantumSetup,
+    born_rule_distribution,
+)
 
 __all__ = [
     "OptimizationProblem",
@@ -80,6 +97,19 @@ class OptimizationProblem:
         return n
 
 
+def _state_weights(d: int, raw: np.ndarray | None) -> np.ndarray:
+    """Normalised absolute values of a raw weight block.
+
+    ``None`` or an all-zero block gives equal weights.
+    """
+    if raw is not None:
+        magnitudes = np.abs(raw)
+        norm = float(np.linalg.norm(magnitudes))
+        if norm > 1e-12:
+            return magnitudes / norm
+    return np.full(d, 1.0 / math.sqrt(d))
+
+
 def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> QuantumSetup:
     d = problem.dimension
     pos = 0
@@ -97,16 +127,76 @@ def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> 
 
     alice_vectors = phase_pair() if problem.vary_alice_phases else None
     bob_vectors = phase_pair() if problem.vary_bob_phases else None
-    if problem.vary_state_weights:
-        raw = np.abs(take(d))
-        norm = float(np.linalg.norm(raw))
-        weights = raw / norm if norm > 1e-12 else np.full(d, 1.0 / math.sqrt(d))
-    else:
-        weights = np.full(d, 1.0 / math.sqrt(d))
+    weights = _state_weights(d, take(d) if problem.vary_state_weights else None)
     phases = MeasurementPhases(
         dimension=d, alice_vectors=alice_vectors, bob_vectors=bob_vectors
     )
     return QuantumSetup(dimension=d, state_weights=weights, phases=phases)
+
+
+def _shift_weights(expr: BellExpression) -> np.ndarray:
+    """Shift-weight vectors c[a, b, m] = d * coefficients[a, b, m, 0].
+
+    Raises ValueError unless every coefficient depends on the outcome
+    difference (k - l) mod d only.
+    """
+    d = expr.dimension
+    levels = np.arange(d)
+    shifts = expr.coefficients[:, :, :, 0]
+    if not np.array_equal(
+        expr.coefficients, shifts[:, :, (levels[:, None] - levels[None, :]) % d]
+    ):
+        raise ValueError(
+            f"coefficient tensor of family {expr.family!r} at d={d} is not circulant"
+        )
+    return d * shifts
+
+
+# Rows of the (4, d) phase table [alice 0, alice 1, bob 0, bob 1] that
+# combine into setting pairs (0, 0), (0, 1), (1, 0), (1, 1).
+_ALICE_ROWS = np.array([0, 0, 1, 1])
+_BOB_ROWS = np.array([2, 3, 2, 3])
+
+
+def _value_function(problem: OptimizationProblem) -> Callable[[np.ndarray], float]:
+    """Compile a problem into its circulant-form value function.
+
+    The returned function maps a flat parameter vector (layout of
+    `objective`, length unchecked) to the expression value without
+    building a setup or a probability table.
+    """
+    d = problem.dimension
+    shift_weights = _shift_weights(build_expression(problem.family, d)).ravel()
+    # |A|^2 summed against c equals the squared real and imaginary parts
+    # (a float view of A) summed against c repeated twice.
+    pair_weights = np.repeat(shift_weights, 2)
+    levels = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(levels, levels) / d) / d  # [j, m]
+    scale = 2.0 * math.pi / d
+    reference_rows = np.array(
+        [scale * s * levels for s in REFERENCE_ALICE_SLOPES + REFERENCE_BOB_SLOPES]
+    )
+    equal_weights = _state_weights(d, None)
+    # The varied phase rows are contiguous: Alice's, Bob's or both.
+    first = 0 if problem.vary_alice_phases else 2
+    last = 4 if problem.vary_bob_phases else 2
+    phase_count = (last - first) * (d - 1)
+    vary_weights = problem.vary_state_weights
+
+    def value(params: np.ndarray) -> float:
+        rows = reference_rows.copy()
+        rows[first:last, 1:] = params[:phase_count].reshape(last - first, d - 1)
+        weights = (
+            _state_weights(d, params[phase_count : phase_count + d])
+            if vary_weights
+            else equal_weights
+        )
+        angles = rows[_ALICE_ROWS] + rows[_BOB_ROWS]
+        amplitudes = (weights * np.exp(1j * angles)) @ fourier
+        parts = amplitudes.view(np.float64).ravel()
+        return float(np.dot(pair_weights, parts * parts))
+
+    return value
 
 
 def objective(problem: OptimizationProblem, parameters) -> float:
@@ -114,15 +204,16 @@ def objective(problem: OptimizationProblem, parameters) -> float:
 
     Layout: varied Alice phase vectors (levels 1..d-1 per setting), then
     varied Bob phase vectors, then raw state weights (absolute values,
-    renormalised internally).
+    renormalised internally; an all-zero block means equal weights).
     """
     params = np.asarray(parameters, dtype=float)
     if params.shape != (problem.parameter_count,):
         raise ValueError(
             f"expected {problem.parameter_count} parameters, got shape {params.shape}"
         )
-    expr = build_expression(problem.family, problem.dimension)
-    return evaluate(expr, born_rule_distribution(_setup_from_parameters(problem, params)))
+    if not np.all(np.isfinite(params)):
+        raise ValueError("parameters must be finite")
+    return _value_function(problem)(params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,18 +244,13 @@ def _initial_point(problem: OptimizationProblem, rng: np.random.Generator) -> np
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Run the seeded random-restart pattern search.
 
-    Identical problems produce identical traces and results.  The final
-    best value is re-verified from the result's own phases and weights
-    through the plain Born-rule path; a disagreement beyond 1e-9 raises
-    RuntimeError.
+    Identical problems produce identical traces and results.  The search
+    evaluates through the circulant form; the final best value is
+    re-verified from the result's own phases and weights through the
+    dense Born-rule table and tensor contraction, and a disagreement
+    beyond 1e-9 raises RuntimeError.
     """
-    expr = build_expression(problem.family, problem.dimension)
-
-    def value_of(params: np.ndarray) -> float:
-        return evaluate(
-            expr, born_rule_distribution(_setup_from_parameters(problem, params))
-        )
-
+    value_of = _value_function(problem)
     n = problem.parameter_count
     per_restart = max(1, problem.budget // problem.restarts)
     seeds = np.random.SeedSequence(problem.seed).spawn(problem.restarts)
@@ -225,7 +311,8 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
             if not moved:
                 step *= 0.5
 
-    assert best_params is not None and initial_value is not None
+    if best_params is None or initial_value is None:
+        raise RuntimeError("search recorded no incumbent: every objective value was NaN or -inf")
     setup = _setup_from_parameters(problem, best_params)
     verified = evaluate(
         build_expression(problem.family, problem.dimension),

@@ -286,7 +286,8 @@ def quantum_value(d: int) -> float:
 def quantum_value_I(d: int) -> float:
     """I-family value of the reference setup: 4 * q_0, always above 3."""
     value = 4.0 * quantum_correlator(0, d)
-    assert value > 3.0, f"reference I value {value} at d={d} fell to 3 or below"
+    if not value > 3.0:
+        raise RuntimeError(f"reference I value {value} at d={d} fell to 3 or below")
     return value
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -240,3 +241,34 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert str(target) in out
     assert json.loads(target.read_text())["local_bound"] == 2.0
+
+
+def assert_write_error(code, err, path):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_full_device_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "quantum", "-d", "3", "--output", "/dev/full")
+    assert_write_error(code, err, "/dev/full")
+    code, _, err = run(
+        capsys, "optimize", "-d", "2", "--budget", "20", "--restarts", "1",
+        "--trace-out", str(tmp_path / "trace.csv"), "--output", "/dev/full",
+    )
+    assert_write_error(code, err, "/dev/full")
+
+
+def test_trace_out_under_regular_file_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory\n")
+    trace = blocker / "trace.csv"
+    code, _, err = run(
+        capsys, "optimize", "-d", "2", "--budget", "20", "--restarts", "1",
+        "--trace-out", str(trace),
+    )
+    assert_write_error(code, err, trace)
+    assert blocker.read_text() == "not a directory\n"

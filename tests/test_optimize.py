@@ -1,22 +1,27 @@
 """Derivative-free phase search over measurement setups."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qudit_bell.optimize as optimize_module
 from qudit_bell import (
+    BellExpression,
     MeasurementPhases,
     OptimizationProblem,
     QuantumSetup,
     born_rule_distribution,
     build_expression,
     evaluate,
+    evaluate_via_correlators,
     maximize,
     objective,
     quantum_value,
     write_trace_csv,
 )
+from qudit_bell.optimize import _setup_from_parameters, _shift_weights, _value_function
 
 
 def test_problem_validation():
@@ -58,6 +63,16 @@ def test_objective_shape_check():
     problem = OptimizationProblem(dimension=3)
     with pytest.raises(ValueError):
         objective(problem, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, -1])
+def test_objective_rejects_non_finite_parameters(bad, position):
+    problem = OptimizationProblem(dimension=3, vary_state_weights=True)
+    params = np.full(problem.parameter_count, 0.5)
+    params[position] = bad  # first phase, last state weight
+    with pytest.raises(ValueError, match="finite"):
+        objective(problem, params)
 
 
 def test_objective_can_reach_reference_value():
@@ -150,3 +165,71 @@ def test_trace_csv_round_trip(tmp_path):
     assert lines[0] == "evaluation_index,incumbent_value"
     parsed = [(int(i), float(v)) for i, v in (line.split(",") for line in lines[1:])]
     assert parsed == list(result.trace)
+
+
+# ---------------------------------------------------------------- circulant form
+
+
+VARY_BLOCKS = [
+    flags for flags in itertools.product((False, True), repeat=3) if any(flags)
+]
+
+
+def test_lean_value_matches_dense_born_rule():
+    rng = np.random.default_rng(2002)
+    cases = 0
+    for d in range(2, 13):
+        for family in ("I", "I3", "Id"):
+            expr = build_expression(family, d)
+            for alice, bob, weights in VARY_BLOCKS:
+                problem = OptimizationProblem(
+                    dimension=d,
+                    family=family,
+                    vary_alice_phases=alice,
+                    vary_bob_phases=bob,
+                    vary_state_weights=weights,
+                )
+                value = _value_function(problem)
+                samples = [rng.uniform(-2 * np.pi, 2 * np.pi, problem.parameter_count)]
+                if weights:
+                    signed = rng.uniform(-1.0, 1.0, problem.parameter_count)
+                    zeroed = rng.uniform(0.0, 2 * np.pi, problem.parameter_count)
+                    zeroed[-d:] = 0.0  # all-zero weight block: equal-weight fallback
+                    samples += [signed, zeroed]
+                for params in samples:
+                    dense = evaluate_via_correlators(
+                        expr, born_rule_distribution(_setup_from_parameters(problem, params))
+                    )
+                    assert value(params) == pytest.approx(dense, abs=1e-12), (d, family)
+                    assert objective(problem, params) == value(params)
+                    cases += 1
+    assert cases >= 300
+
+
+def test_shift_weights_reject_non_circulant_tensor():
+    coefficients = build_expression("Id", 3).coefficients.copy()
+    coefficients[0, 1, 2, 0] += 0.5
+    with pytest.raises(ValueError, match="not circulant"):
+        _shift_weights(BellExpression(3, "Id", coefficients))
+
+
+def test_free_state_weights_reach_d3_optimum():
+    # Acin, Durt, Gisin, Latorre, PRA 65, 052325 (2002): with the Schmidt
+    # weights free the d = 3 maximum is 1 + sqrt(11/3), attained at weights
+    # proportional to (1, gamma, 1) with gamma = (sqrt(11) - sqrt(3)) / 2.
+    result = maximize(OptimizationProblem(dimension=3, vary_state_weights=True))
+    assert result.best_value == pytest.approx(1 + math.sqrt(11 / 3), abs=1e-9)
+    gamma = (math.sqrt(11) - math.sqrt(3)) / 2
+    target = np.array([1.0, gamma, 1.0])
+    weights = np.abs(result.best_state_weights)
+    np.testing.assert_allclose(
+        np.sort(weights / np.linalg.norm(weights)),
+        np.sort(target / np.linalg.norm(target)),
+        atol=1e-6,
+    )
+
+
+def test_maximize_raises_when_no_incumbent(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_value_function", lambda problem: lambda x: math.nan)
+    with pytest.raises(RuntimeError, match="no incumbent"):
+        maximize(OptimizationProblem(dimension=2, budget=10, restarts=1))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qudit_bell.quantum as quantum_module
 from qudit_bell import (
     MeasurementPhases,
     NoiseModel,
@@ -205,6 +206,12 @@ def test_I_expression_quantum_value():
     assert quantum_value_I(3) == pytest.approx(8 * (2 + math.sqrt(3)) / 9, abs=1e-12)
     for d in (2, 10, 100):
         assert quantum_value_I(d) > 3.0
+
+
+def test_quantum_value_I_check_raises(monkeypatch):
+    monkeypatch.setattr(quantum_module, "quantum_correlator", lambda c, d: 0.5)
+    with pytest.raises(RuntimeError, match="fell to 3 or below"):
+        quantum_value_I(4)
 
 
 # ---------------------------------------------------------------- asymptotics
