@@ -28,6 +28,7 @@ from .local_models import (
     DeterministicStrategy,
     EnumerationCapError,
     LocalModel,
+    StrategyArray,
     StrategyDifferences,
     differences_of,
     local_bound_bruteforce,
@@ -77,6 +78,7 @@ __all__ = [
     "OptimizationProblem",
     "OptimizationResult",
     "QuantumSetup",
+    "StrategyArray",
     "StrategyDifferences",
     "asymptotic_value",
     "born_rule_distribution",

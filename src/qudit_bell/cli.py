@@ -56,9 +56,6 @@ OUTPUT_DIR_ENV = "QUDIT_BELL_OUTPUT_DIR"
 # Reference decimals are checked at this relative tolerance.
 REPRODUCTION_RTOL = 5e-5
 
-# Dimensions up to this have the brute-force route cross-checked in sweeps.
-SWEEP_CROSS_CHECK_MAX_D = 16
-
 # Two methods computing the same exact rational must agree to roundoff.
 CROSS_CHECK_ATOL = 1e-12
 
@@ -153,6 +150,8 @@ def _base_payload(command: str, **extra) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
+    if args.cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
     expr = build_expression(family, d)
 
@@ -302,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     rows = []
     for d in range(lo, hi + 1):
         bound, _ = local_bound_cases(d)
-        if d <= SWEEP_CROSS_CHECK_MAX_D:
+        if d ** 4 <= ENUMERATION_CAP:
             brute, _ = local_bound_bruteforce(build_expression("Id", d))
             if abs(brute - bound) > CROSS_CHECK_ATOL:
                 raise CrossCheckError(

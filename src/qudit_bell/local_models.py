@@ -6,16 +6,25 @@ strategies.  Bell expressions are linear, so their maximum over local
 models is attained at a deterministic strategy and the local bound can
 be found by enumeration.
 
+`local_bound_bruteforce` works on the dense coefficient tensor.  Once
+Alice's outcomes (a1, a2) are fixed, Bob's outcomes b1 and b2 enter
+separate terms, so the maximum over the d^4 strategies is a maximum over
+d^2 pairs of two independent maxima over d: O(d^3) time and memory, never
+the d^4 value table.  Its maximizers come back as a `StrategyArray`, a
+read-only sequence backed by one (n, 4) integer array.
+
 For the Id family a second, independent route exists: a strategy only
 enters through the canonical shifts realised around the measurement
 cycle, the four shifts obey one cyclic constraint, and the value is the
-sum of the four shift weights.  `local_bound_cases` enumerates the d^3
-admissible shift tuples with exact integer arithmetic; the tests
-cross-check it against the brute-force route.
+sum of the four shift weights.  `local_bound_cases` computes that
+constrained maximum as a max-plus cyclic self-convolution of the integer
+weight numerators in O(d^2) time and memory; the tests cross-check it
+against the brute-force route.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -34,6 +43,7 @@ __all__ = [
     "DeterministicStrategy",
     "EnumerationCapError",
     "LocalModel",
+    "StrategyArray",
     "StrategyDifferences",
     "differences_of",
     "local_bound_bruteforce",
@@ -46,6 +56,9 @@ __all__ = [
 ENUMERATION_CAP = 10_000_000
 
 WEIGHT_ATOL = 1e-12
+
+# Outer-sum cells the brute force materialises at once when listing maximizers.
+_CHUNK_CELLS = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -60,6 +73,39 @@ class DeterministicStrategy:
     a2: int
     b1: int
     b2: int
+
+
+class StrategyArray(Sequence[DeterministicStrategy]):
+    """Read-only sequence of deterministic strategies stored as an (n, 4) array.
+
+    Row i holds (a1, a2, b1, b2) of strategy i.  A `DeterministicStrategy`
+    is built only when an element is indexed or iterated, so taking the
+    length of a large maximizer set costs nothing per strategy.  An int64
+    ``rows`` array is wrapped without a copy, through a read-only view.
+    Slicing gives another `StrategyArray`.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows) -> None:
+        rows = np.asarray(rows, dtype=np.int64).view()
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError(f"strategy rows must have shape (n, 4), got {rows.shape}")
+        rows.setflags(write=False)
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return StrategyArray(self._rows[index])
+        a1, a2, b1, b2 = self._rows[index].tolist()
+        return DeterministicStrategy(a1, a2, b1, b2)
+
+    def __iter__(self) -> Iterator[DeterministicStrategy]:
+        for a1, a2, b1, b2 in self._rows.tolist():
+            yield DeterministicStrategy(a1, a2, b1, b2)
 
 
 def _check_strategy(strategy: DeterministicStrategy, d: int) -> None:
@@ -127,19 +173,28 @@ def local_bound_bruteforce(
     *,
     cap: int = ENUMERATION_CAP,
     tie_atol: float = 1e-9,
-) -> tuple[float, list[DeterministicStrategy]]:
+) -> tuple[float, StrategyArray]:
     """Maximum of a Bell expression over all d^4 deterministic strategies.
 
     Returns ``(max_value, maximizers)`` with the maximizers listed in
-    lexicographic (a1, a2, b1, b2) order; strategies within ``tie_atol``
-    of the maximum count as maximizers.  Raises `EnumerationCapError`
-    when d^4 exceeds ``cap``; use `local_bound_cases` for large d.
+    lexicographic (a1, a2, b1, b2) order as a `StrategyArray`;
+    strategies within ``tie_atol`` of the maximum count as maximizers.
+    Raises `EnumerationCapError` when d^4 exceeds ``cap``; use
+    `local_bound_cases` for large d.
+
+    With (a1, a2) fixed, b1 only meets ``t00[a1] + t10[a2]`` and b2 only
+    ``t01[a1] + t11[a2]``, so the maximum is that of the (a1, a2) table
+    ``max_b1(left) + max_b2(right)``.  The maximizers are the (b1, b2)
+    cells of the winning pairs' d x d outer sums, taken in chunks so
+    memory stays O(d^3) plus the output.
 
     All built-in families have coefficients that are integer multiples
     of 1/(d-1), so per-strategy sums are carried as scaled integers and
     the maximum is exact (a single float division at the end).  Tensors
     without that structure fall back to float sums, where ``tie_atol``
-    also absorbs roundoff in the tie test.
+    also absorbs roundoff in the tie test; there the decoupled sums
+    only preselect candidates, and each candidate is re-summed in the
+    (a1, b1), (a1, b2), (a2, b1), (a2, b2) order of the full enumeration.
     """
     d = expr.dimension
     total = d ** 4
@@ -152,53 +207,71 @@ def local_bound_bruteforce(
     scale = max(d - 1, 1)
     scaled = t * scale
     rounded = np.rint(scaled)
-    if np.max(np.abs(scaled - rounded)) <= 1e-6:
+    exact = bool(np.max(np.abs(scaled - rounded)) <= 1e-6)
+    if exact:
         t = rounded.astype(np.int64)
+    left = t[0, 0][:, None, :] + t[1, 0][None, :, :]    # (a1, a2, b1)
+    right = t[0, 1][:, None, :] + t[1, 1][None, :, :]   # (a1, a2, b2)
+    pair_best = left.max(axis=-1) + right.max(axis=-1)
+    if exact:
+        cutoff = pair_best.max()
     else:
-        scale = None
-    values = (
-        t[0, 0][:, None, :, None]      # (a1, b1)
-        + t[0, 1][:, None, None, :]    # (a1, b2)
-        + t[1, 0][None, :, :, None]    # (a2, b1)
-        + t[1, 1][None, :, None, :]    # (a2, b2)
-    )
-    if scale is not None:
-        best = int(values.max()) / scale
-        winners = np.argwhere(values == values.max())
+        # left + right rounds differently from the four-term sum by at
+        # most a few ulps of the largest term; widen the cut by twice that
+        slack = tie_atol if tie_atol > 0 else 0.0
+        margin = 32 * np.finfo(float).eps * float(np.abs(t).max())
+        cutoff = pair_best.max() - slack - margin
+    pairs = np.argwhere(pair_best >= cutoff)
+    step = max(1, _CHUNK_CELLS // d ** 2)
+    chunks = [np.empty((0, 4), dtype=np.int64)]
+    for first in range(0, len(pairs), step):
+        a1, a2 = pairs[first:first + step].T
+        outer = left[a1, a2][:, :, None] + right[a1, a2][:, None, :]
+        k, b1, b2 = np.nonzero(outer >= cutoff)
+        chunks.append(np.stack([a1[k], a2[k], b1, b2], axis=1))
+    winners = np.concatenate(chunks)
+    if exact:
+        best = int(cutoff) / scale
     else:
+        a1, a2, b1, b2 = winners.T
+        values = t[0, 0][a1, b1] + t[0, 1][a1, b2] + t[1, 0][a2, b1] + t[1, 1][a2, b2]
         best = float(values.max())
-        winners = np.argwhere(values >= best - tie_atol)
-    maximizers = [
-        DeterministicStrategy(int(a1), int(a2), int(b1), int(b2))
-        for a1, a2, b1, b2 in winners
-    ]
-    return best, maximizers
+        winners = winners[values >= best - tie_atol]
+    return best, StrategyArray(winners)
 
 
 def local_bound_cases(d: int) -> tuple[float, set[float]]:
-    """Local bound of the Id family via the shift-tuple enumeration.
+    """Local bound of the Id family via the cyclic shift constraint.
 
-    Enumerates every canonical shift tuple compatible with the cyclic
-    constraint (three shifts free, the fourth determined mod d) and
-    maximises the shift-weight sum.  Weight sums are rationals with
-    denominator d-1 and are handled as integer numerators, so the
-    returned maximum and attainable-value set are exact.
+    A strategy's value is N(r) + N(s) + N(t) + N(u) over (d - 1), where
+    N is the integer numerator of the shift weight and the canonical
+    shifts obey r + s + t + u = -1 (mod d).  That is a max-plus cyclic
+    self-convolution of N, computed in two steps: the attainable values
+    of N(r) + N(s) for each residue rho of r + s (a d x d pass), then
+    the sums of those values with the ones at the partner residue
+    -1 - rho.  O(d^2) time and memory; the returned maximum and
+    attainable-value set are exact.
     """
     lo, hi = shift_interval(d)
     shifts = np.arange(lo, hi + 1)
     # term_weight(x, d) * (d - 1), as exact integers
     numerators = np.where(shifts >= 0, d - 1 - 2 * shifts, -2 * shifts - (d + 1))
 
-    def num_of(x: np.ndarray) -> np.ndarray:
-        return numerators[x - lo]
+    pair_values = numerators[:, None] + numerators[None, :]
+    low = int(pair_values.min())
+    seen = np.zeros((d, int(pair_values.max()) - low + 1), dtype=bool)
+    seen[(shifts[:, None] + shifts[None, :]) % d, pair_values - low] = True
+    residues, offsets = np.nonzero(seen)
 
-    r = shifts[:, None, None]
-    s = shifts[None, :, None]
-    t = shifts[None, None, :]
-    half = d // 2
-    u = (-1 - r - s - t + half) % d - half
-    totals = num_of(r) + num_of(s) + num_of(t) + num_of(u)
-    unique = np.unique(totals)
+    # row rho of `table` lists the pair values at residue rho, ascending
+    counts = np.bincount(residues, minlength=d)
+    filled = np.arange(counts.max()) < counts[:, None]
+    table = np.zeros(filled.shape, dtype=np.int64)
+    table[filled] = offsets + low
+    partner = (-1 - np.arange(d)) % d
+    totals = table[:, :, None] + table[partner][:, None, :]
+    both = filled[:, :, None] & filled[partner][:, None, :]
+    unique = np.unique(totals[both])
     attainable = {int(n) / (d - 1) for n in unique}
     return int(unique[-1]) / (d - 1), attainable
 
@@ -229,7 +302,15 @@ class LocalModel:
 
     @classmethod
     def uniform(cls, d: int) -> "LocalModel":
-        """Equal weight on every deterministic strategy."""
+        """Equal weight on every deterministic strategy.
+
+        Raises `EnumerationCapError` when d^4 exceeds `ENUMERATION_CAP`.
+        """
+        if d ** 4 > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"a uniform model over {d}^4 = {d ** 4} strategies exceeds the cap "
+                f"{ENUMERATION_CAP}"
+            )
         w = 1.0 / d ** 4
         weights = {
             DeterministicStrategy(a1, a2, b1, b2): w

@@ -99,6 +99,22 @@ def test_bound_beyond_cap_skips_bruteforce(capsys):
     assert payload["local_bound"] == 2.0
 
 
+def test_bound_rejects_cap_below_one(capsys):
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, "bound", "-d", "5", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
+
+def test_bound_at_d_1000(capsys):
+    code, out, _ = run(capsys, "bound", "-d", "1000", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["local_bound"] == 2.0
+    assert payload["bruteforce_value"] is None
+
+
 # ---------------------------------------------------------------- quantum
 
 
@@ -155,6 +171,22 @@ def test_sweep_cross_check_failure_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "sweep", "-d", "2..3")
     assert code == 3
     assert "cross-check" in err
+
+
+def test_sweep_cross_checks_up_to_the_cap(capsys, monkeypatch):
+    cases = cli.local_bound_cases
+    monkeypatch.setattr(cli, "local_bound_cases", lambda d: (1.9, {1.9}) if d == 56 else cases(d))
+    code, _, err = run(capsys, "sweep", "-d", "56")
+    assert code == 3
+    assert "d=56" in err
+
+    def no_bruteforce(expr, **kwargs):
+        raise AssertionError("brute force beyond the cap")
+
+    monkeypatch.setattr(cli, "local_bound_bruteforce", no_bruteforce)
+    code, out, _ = run(capsys, "sweep", "-d", "57", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["local_bound"] == 2.0
 
 
 def test_sweep_single_dimension(capsys):

@@ -1,5 +1,7 @@
 """Deterministic strategies, bounds by enumeration and by case analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from qudit_bell import (
     DeterministicStrategy,
     EnumerationCapError,
     LocalModel,
+    StrategyArray,
     build_expression,
     canonical_shift,
     differences_of,
@@ -23,6 +26,67 @@ from qudit_bell import (
 )
 
 dims = st.integers(min_value=2, max_value=10)
+
+
+# ---------------------------------------------------------------- oracles
+#
+# The full enumerations the library used before it decoupled the brute
+# force and reduced the case analysis to residues.  They share no code
+# with either route and are the reference for bit-identical results.
+
+
+def bruteforce_oracle(expr, tie_atol=1e-9):
+    """Maximum and maximizers from the full d^4 value table."""
+    d = expr.dimension
+    t = expr.coefficients
+    scale = max(d - 1, 1)
+    scaled = t * scale
+    rounded = np.rint(scaled)
+    if np.max(np.abs(scaled - rounded)) <= 1e-6:
+        t = rounded.astype(np.int64)
+    else:
+        scale = None
+    values = (
+        t[0, 0][:, None, :, None]      # (a1, b1)
+        + t[0, 1][:, None, None, :]    # (a1, b2)
+        + t[1, 0][None, :, :, None]    # (a2, b1)
+        + t[1, 1][None, :, None, :]    # (a2, b2)
+    )
+    if scale is not None:
+        best = int(values.max()) / scale
+        winners = np.argwhere(values == values.max())
+    else:
+        best = float(values.max())
+        winners = np.argwhere(values >= best - tie_atol)
+    maximizers = [
+        DeterministicStrategy(int(a1), int(a2), int(b1), int(b2))
+        for a1, a2, b1, b2 in winners
+    ]
+    return best, maximizers
+
+
+def cases_oracle(d):
+    """Maximum and attainable set from the d^3 grid of free shifts (r, s, t)."""
+    lo, hi = shift_interval(d)
+    shifts = np.arange(lo, hi + 1)
+    numerators = np.where(shifts >= 0, d - 1 - 2 * shifts, -2 * shifts - (d + 1))
+    r = shifts[:, None, None]
+    s = shifts[None, :, None]
+    t = shifts[None, None, :]
+    half = d // 2
+    u = (-1 - r - s - t + half) % d - half
+    totals = (
+        numerators[r - lo] + numerators[s - lo] + numerators[t - lo] + numerators[u - lo]
+    )
+    unique = np.unique(totals)
+    return int(unique[-1]) / (d - 1), {int(n) / (d - 1) for n in unique}
+
+
+def assert_matches_oracle(expr, **kwargs):
+    best, maximizers = local_bound_bruteforce(expr, **kwargs)
+    expected_best, expected_maximizers = bruteforce_oracle(expr, **kwargs)
+    assert type(best) is float
+    assert (best, list(maximizers)) == (expected_best, expected_maximizers)
 
 
 @st.composite
@@ -151,6 +215,110 @@ def test_bruteforce_float_fallback_path():
     assert value == pytest.approx(best, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", ["I", "I3", "Id"])
+@pytest.mark.parametrize("d", range(2, 13))
+def test_bruteforce_matches_oracle_on_families(family, d):
+    assert_matches_oracle(build_expression(family, d))
+
+
+def test_bruteforce_matches_oracle_on_scaled_integer_tensors():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        numerators = rng.integers(-2 * d, 2 * d + 1, size=(2, 2, d, d))
+        if rng.random() < 0.3:
+            # few distinct entries: many ties
+            numerators = rng.integers(-1, 2, size=(2, 2, d, d))
+        assert_matches_oracle(BellExpression(d, "Id", numerators / max(d - 1, 1)))
+
+
+def _planted_tie_tensor(rng, d, gap):
+    """Float tensor whose best strategy has a rival ``gap`` below it.
+
+    The two strategies differ in every outcome, so they share no
+    coefficient; their entries are near 1 and all others near 0.
+    """
+    coeff = rng.normal(scale=0.1, size=(2, 2, d, d))
+    best = rng.integers(d, size=4)
+    rival = (best + rng.integers(1, d, size=4)) % d
+    for a1, a2, b1, b2 in (best, rival):
+        coeff[0, 0, a1, b1], coeff[0, 1, a1, b2], coeff[1, 0, a2, b1], coeff[1, 1, a2, b2] = (
+            rng.normal(1, 0.01, size=4)
+        )
+    a1, a2, b1, b2 = best
+    top = coeff[0, 0, a1, b1] + coeff[0, 1, a1, b2] + coeff[1, 0, a2, b1] + coeff[1, 1, a2, b2]
+    a1, a2, b1, b2 = rival
+    partial = coeff[0, 0, a1, b1] + coeff[0, 1, a1, b2] + coeff[1, 0, a2, b1]
+    coeff[1, 1, a2, b2] = top - gap - partial
+    return coeff
+
+
+@pytest.mark.parametrize("tie_atol", [1e-9, 1e-6])
+def test_bruteforce_matches_oracle_on_planted_float_ties(tie_atol):
+    rng = np.random.default_rng(23)
+    fractions = [0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]
+    for d in range(4, 9):
+        for fraction in fractions:
+            coeff = _planted_tie_tensor(rng, d, fraction * tie_atol)
+            expr = BellExpression(d, "Id", coeff)
+            assert_matches_oracle(expr, tie_atol=tie_atol)
+    # the planted rival is a maximizer inside the tolerance and not outside it
+    inside = local_bound_bruteforce(
+        BellExpression(4, "Id", _planted_tie_tensor(np.random.default_rng(5), 4, 0.5e-9))
+    )[1]
+    outside = local_bound_bruteforce(
+        BellExpression(4, "Id", _planted_tie_tensor(np.random.default_rng(5), 4, 2e-9))
+    )[1]
+    assert (len(inside), len(outside)) == (2, 1)
+
+
+def test_bruteforce_matches_oracle_on_mixed_magnitude_floats():
+    # entries spanning six decades round differently under the decoupled
+    # sums; the reported maximum must still be the four-term float sum
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        d = int(rng.integers(2, 8))
+        coeff = rng.normal(size=(2, 2, d, d)) * 10.0 ** rng.uniform(-3, 3, size=(2, 2, d, d))
+        assert_matches_oracle(BellExpression(d, "Id", coeff))
+        assert_matches_oracle(BellExpression(d, "Id", coeff), tie_atol=0.0)
+
+
+def test_bruteforce_peak_memory_at_the_cap():
+    expr = build_expression("Id", 56)
+    tracemalloc.start()
+    try:
+        value, maximizers = local_bound_bruteforce(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2.0
+    assert len(maximizers) == 1_727_936
+    assert peak < 150 * 2**20
+
+
+def test_maximizers_are_an_array_backed_sequence():
+    _, maximizers = local_bound_bruteforce(build_expression("Id", 3))
+    _, expected = bruteforce_oracle(build_expression("Id", 3))
+    assert isinstance(maximizers, StrategyArray)
+    assert len(maximizers) == len(expected)
+    assert maximizers[0] == expected[0] and maximizers[-1] == expected[-1]
+    assert isinstance(maximizers[2:5], StrategyArray)
+    assert list(maximizers[2:5]) == expected[2:5]
+    with pytest.raises(TypeError):
+        maximizers[0] = expected[1]
+    with pytest.raises(IndexError):
+        maximizers[len(expected)]
+    assert expected[1] in maximizers
+
+
+def test_strategy_array_validates_shape():
+    assert len(StrategyArray(np.empty((0, 4), dtype=np.int64))) == 0
+    with pytest.raises(ValueError):
+        StrategyArray([[0, 0, 0]])
+    with pytest.raises(ValueError):
+        StrategyArray([0, 0, 0, 0])
+
+
 def test_case_analysis_bound_and_spectrum():
     for d in range(2, 21):
         bound, attainable = local_bound_cases(d)
@@ -167,6 +335,22 @@ def test_both_bound_routes_agree_exactly():
         brute, _ = local_bound_bruteforce(build_expression("Id", d))
         cases, _ = local_bound_cases(d)
         assert brute == cases
+
+
+@pytest.mark.parametrize("d", range(2, 61))
+def test_case_analysis_matches_grid_oracle(d):
+    assert local_bound_cases(d) == cases_oracle(d)
+
+
+def test_case_analysis_at_d_1000_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        result = local_bound_cases(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2.0, {2.0, -2 / 999, -2 * 1001 / 999})
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- mixtures
@@ -190,6 +374,11 @@ def test_uniform_model_matches_uniform_marginals():
     dist = model.to_distribution()
     # all strategies equally likely -> outcomes uniform per setting pair
     np.testing.assert_allclose(dist.table, 1 / 9, atol=1e-12)
+
+
+def test_uniform_model_is_capped():
+    with pytest.raises(EnumerationCapError):
+        LocalModel.uniform(57)
 
 
 @settings(max_examples=60, deadline=None)
