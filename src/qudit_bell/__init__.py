@@ -30,6 +30,7 @@ from .local_models import (
     LocalModel,
     StrategyArray,
     StrategyDifferences,
+    check_enumeration_cap,
     differences_of,
     local_bound_bruteforce,
     local_bound_cases,
@@ -52,6 +53,7 @@ from .quantum import (
     born_rule_distribution,
     catalan_constant,
     closed_form_distribution,
+    family_profile,
     mixed_distribution,
     noise_threshold,
     noisy_value,
@@ -59,6 +61,7 @@ from .quantum import (
     quantum_correlator,
     quantum_value,
     quantum_value_I,
+    quantum_value_I3,
     symmetry_check,
 )
 
@@ -85,11 +88,13 @@ __all__ = [
     "build_expression",
     "canonical_shift",
     "catalan_constant",
+    "check_enumeration_cap",
     "closed_form_distribution",
     "correlator",
     "differences_of",
     "evaluate",
     "evaluate_via_correlators",
+    "family_profile",
     "local_bound_bruteforce",
     "local_bound_cases",
     "maximize",
@@ -103,6 +108,7 @@ __all__ = [
     "quantum_correlator",
     "quantum_value",
     "quantum_value_I",
+    "quantum_value_I3",
     "shift_interval",
     "strategy_value",
     "symmetry_check",

@@ -25,20 +25,19 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expressions import FAMILIES, SCHEMA_VERSION, build_expression, evaluate
+from .expressions import FAMILIES, SCHEMA_VERSION, build_expression
 from .local_models import (
     ENUMERATION_CAP,
     EnumerationCapError,
+    check_enumeration_cap,
     local_bound_bruteforce,
     local_bound_cases,
 )
 from .optimize import OptimizationProblem, maximize, write_trace_csv
 from .quantum import (
-    NoiseModel,
     asymptotic_value,
-    closed_form_distribution,
+    family_profile,
     noise_threshold,
-    noisy_value,
     ordered_shifts,
     quantum_correlator,
     quantum_value,
@@ -153,16 +152,19 @@ def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
-    expr = build_expression(family, d)
 
     brute_value = None
     maximizer_count = None
     try:
-        brute_value, maximizers = local_bound_bruteforce(expr, cap=args.cap)
-        maximizer_count = len(maximizers)
+        check_enumeration_cap(d, args.cap)
     except EnumerationCapError as exc:
         if family != "Id":
             raise UsageError(str(exc)) from exc
+    else:
+        brute_value, maximizers = local_bound_bruteforce(
+            build_expression(family, d), cap=args.cap
+        )
+        maximizer_count = len(maximizers)
 
     cases_value = None
     attainable = None
@@ -233,28 +235,15 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[Report, int]:
     return Report(payload, human, csv_rows), EXIT_OK
 
 
-def _family_quantum_profile(family: str, d: int) -> tuple[float, float, float]:
-    """(quantum value, local bound, uniform-distribution value) for a family."""
-    if family == "Id":
-        return quantum_value(d), 2.0, 0.0
-    if family == "I3":
-        value = evaluate(build_expression("I3", d), closed_form_distribution(d))
-        return value, 2.0, 0.0
-    return quantum_value_I(d), 3.0, 4.0 / d
-
-
 def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
     family = args.family
-    value, bound, uniform_value = _family_quantum_profile(family, d)
+    value, bound, uniform_value = family_profile(family, d)
     if value <= bound:
         raise CrossCheckError(
             f"reference setup does not violate family {family} at d={d}"
         )
-    if family == "Id":
-        threshold = noise_threshold(d)
-    else:
-        threshold = (bound - uniform_value) / (value - uniform_value)
+    threshold = (bound - uniform_value) / (value - uniform_value)
     payload = _base_payload(
         "threshold",
         family=family,
@@ -281,10 +270,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
         p = args.noise_p
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"--noise-p must lie in [0, 1], got {p}")
-        if family == "Id":
-            noisy = noisy_value(d, NoiseModel(p))
-        else:
-            noisy = p * value + (1.0 - p) * uniform_value
+        noisy = p * value + (1.0 - p) * uniform_value
         verdict = "violated" if noisy > bound else "not violated"
         payload["noise_p"] = p
         payload["noisy_value"] = noisy
@@ -340,7 +326,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
         seed=args.seed,
     )
     result = maximize(problem)
-    reference, _, _ = _family_quantum_profile(args.family, d)
+    reference, _, _ = family_profile(args.family, d)
     excess = result.best_value - reference
     trace_path = Path(args.trace_out) if args.trace_out else (
         _output_dir() / f"optimize_trace_{args.family}_d{d}.csv"

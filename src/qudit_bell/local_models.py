@@ -45,6 +45,7 @@ __all__ = [
     "LocalModel",
     "StrategyArray",
     "StrategyDifferences",
+    "check_enumeration_cap",
     "differences_of",
     "local_bound_bruteforce",
     "local_bound_cases",
@@ -168,6 +169,20 @@ def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> flo
     return sum(term_weight(x, expr.dimension) for x in diffs)
 
 
+def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
+    """Raise `EnumerationCapError` when the d^4 strategies exceed ``cap``.
+
+    `local_bound_bruteforce` raises through it; callers can run it first
+    to learn whether the brute force will run before building its input.
+    """
+    total = d ** 4
+    if total > cap:
+        raise EnumerationCapError(
+            f"enumerating {d}^4 = {total} strategies exceeds the cap {cap}; "
+            "use local_bound_cases for large dimensions"
+        )
+
+
 def local_bound_bruteforce(
     expr: BellExpression,
     *,
@@ -197,12 +212,7 @@ def local_bound_bruteforce(
     (a1, b1), (a1, b2), (a2, b1), (a2, b2) order of the full enumeration.
     """
     d = expr.dimension
-    total = d ** 4
-    if total > cap:
-        raise EnumerationCapError(
-            f"enumerating {d}^4 = {total} strategies exceeds the cap {cap}; "
-            "use local_bound_cases for large dimensions"
-        )
+    check_enumeration_cap(d, cap)
     t = expr.coefficients
     scale = max(d - 1, 1)
     scaled = t * scale

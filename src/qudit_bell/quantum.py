@@ -16,9 +16,11 @@ For those the joint probabilities collapse to the closed form
 
 whose difference-class correlators q_c = P(A1 = B1 + c) equal
 1 / (2 d^2 sin^2[pi (c + 1/4) / d]) and obey the strict ordering
-q_0 > q_{-1} > q_1 > q_{-2} > ...  The Id value, its noise threshold,
-and the large-d limit 32 * G / pi^2 (G = Catalan's constant) all follow
-from these correlators.
+q_0 > q_{-1} > q_1 > q_{-2} > ...  The I, I3 and Id values, their noise
+thresholds, and the large-d limit 32 * G / pi^2 (G = Catalan's constant)
+all follow from these correlators; `family_profile` gathers each
+family's value, local bound and white-noise value without building a
+(2, 2, d, d) table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expressions import JointDistribution, correlator, shift_interval
+from .expressions import FAMILIES, JointDistribution, correlator, shift_interval
 
 __all__ = [
     "REFERENCE_ALICE_SLOPES",
@@ -41,6 +43,7 @@ __all__ = [
     "born_rule_distribution",
     "catalan_constant",
     "closed_form_distribution",
+    "family_profile",
     "mixed_distribution",
     "noise_threshold",
     "noisy_value",
@@ -48,6 +51,7 @@ __all__ = [
     "quantum_correlator",
     "quantum_value",
     "quantum_value_I",
+    "quantum_value_I3",
     "symmetry_check",
 ]
 
@@ -289,6 +293,43 @@ def quantum_value_I(d: int) -> float:
     if not value > 3.0:
         raise RuntimeError(f"reference I value {value} at d={d} fell to 3 or below")
     return value
+
+
+def quantum_value_I3(d: int) -> float:
+    """I3-family value of the reference setup: 4 * (q_0 - q_{-1}).
+
+    I3 adds the coincidences P(A1 = B1), P(B1 = A2 + 1), P(A2 = B2),
+    P(B2 = A1) and subtracts P(A1 = B1 - 1), P(B1 = A2), P(A2 = B2 - 1),
+    P(B2 = A1 - 1).  On the reference setup the four correlator chains
+    that `symmetry_check` tests coincide:
+    P(A1 = B1 + c) = P(B1 = A2 + c + 1) = P(A2 = B2 + c) = P(B2 = A1 + c)
+    = q_c.  Each added term is the c = 0 link of one chain and each
+    subtracted term the c = -1 link of the same chain, so the value is
+    4 q_0 - 4 q_{-1}.  O(1); the tests pin it against the dense tensor
+    contraction.
+    """
+    return 4.0 * (quantum_correlator(0, d) - quantum_correlator(-1, d))
+
+
+def family_profile(family: str, d: int) -> tuple[float, float, float]:
+    """(quantum value, local bound, uniform-noise value) of a family.
+
+    The quantum value is the reference setup's, from the correlator
+    closed forms: `quantum_value_I`, `quantum_value_I3` or
+    `quantum_value`.  The local bounds are 3 for I and 2 for I3 and Id.
+    Under white noise every coincidence term P(X = Y + k) equals 1/d,
+    so I takes the value 4/d and the signed families I3 and Id take 0.
+    With value v, bound b and uniform value u, the mixture
+    p * state + (1 - p) * noise has value p * v + (1 - p) * u and
+    violates the bound for p above (b - u) / (v - u).
+    """
+    if family == "I":
+        return quantum_value_I(d), 3.0, 4.0 / d
+    if family == "I3":
+        return quantum_value_I3(d), 2.0, 0.0
+    if family == "Id":
+        return quantum_value(d), 2.0, 0.0
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 @lru_cache(maxsize=None)

@@ -4,11 +4,21 @@ import csv
 import io
 import json
 import os
+import time
+import tracemalloc
 
 import pytest
 
 import qudit_bell.cli as cli
-from qudit_bell import noise_threshold, quantum_value
+from qudit_bell import (
+    FAMILIES,
+    build_expression,
+    closed_form_distribution,
+    evaluate,
+    local_bound_cases,
+    noise_threshold,
+    quantum_value,
+)
 
 
 def run(capsys, *argv):
@@ -115,6 +125,68 @@ def test_bound_at_d_1000(capsys):
     assert payload["bruteforce_value"] is None
 
 
+def count_expression_builds(monkeypatch):
+    calls = []
+    build = cli.build_expression
+
+    def counting(family, d):
+        calls.append((family, d))
+        return build(family, d)
+
+    monkeypatch.setattr(cli, "build_expression", counting)
+    return calls
+
+
+def test_bound_past_the_cap_builds_no_expression(capsys, monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    code, out, _ = run(capsys, "bound", "-d", "57")
+    assert code == 0
+    assert out == (
+        "family Id, d = 57\n"
+        "local bound = 2\n"
+        "brute force skipped: 57^4 exceeds cap 10000000\n"
+        "case analysis: max = 2\n"
+        "attainable deterministic values: 2, -0.0357143, -2.07143\n"
+    )
+    code, out, _ = run(capsys, "bound", "-d", "57", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bruteforce_value"] is None
+    assert payload["bruteforce_maximizers"] is None
+    assert payload["attainable_values"] == sorted(local_bound_cases(57)[1], reverse=True)
+    assert calls == []
+
+
+def test_bound_family_I_past_the_cap_exits_2(capsys, monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    code, out, err = run(capsys, "bound", "-d", "57", "--family", "I")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; "
+        "use local_bound_cases for large dimensions\n"
+    )
+    assert calls == []
+
+
+def test_bound_below_a_small_cap_skips_bruteforce(capsys, monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    code, out, _ = run(capsys, "bound", "-d", "8", "--cap", "100")
+    assert code == 0
+    assert "brute force skipped: 8^4 exceeds cap 100" in out
+    assert calls == []
+
+
+def test_bound_at_the_cap_runs_both_routes(capsys, monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    code, out, _ = run(capsys, "bound", "-d", "56", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bruteforce_value"] == payload["case_value"] == 2.0
+    assert payload["bruteforce_maximizers"] == 1_727_936
+    assert calls == [("Id", 56)]
+
+
 # ---------------------------------------------------------------- quantum
 
 
@@ -146,6 +218,83 @@ def test_threshold_family_I_matches_Id_at_d2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["noise_threshold"] == pytest.approx(noise_threshold(2), abs=1e-12)
+
+
+def dense_I3_value(d):
+    return evaluate(build_expression("I3", d), closed_form_distribution(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9, 64, 257])
+def test_threshold_family_I3_matches_dense_oracle(capsys, d):
+    value = dense_I3_value(d)
+    threshold = 2.0 / value
+    p = 0.8
+    argv = ("threshold", "-d", str(d), "--family", "I3", "--noise-p", str(p))
+
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["family"], payload["dimension"], payload["local_bound"]) == ("I3", d, 2.0)
+    assert payload["quantum_value"] == pytest.approx(value, rel=1e-12, abs=0)
+    assert payload["noise_threshold"] == pytest.approx(threshold, rel=1e-12, abs=0)
+    assert payload["noisy_value"] == pytest.approx(p * value, rel=1e-12, abs=0)
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+    assert rows["local_bound"] == "2.0"
+    for key, expected in (
+        ("quantum_value", value), ("noise_threshold", threshold), ("noisy_value", p * value)
+    ):
+        assert float(rows[key]) == payload[key]
+        assert float(rows[key]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"family I3, d = {d}"
+    assert lines[2] == "local bound = 2"
+    printed = [float(line.rpartition("= ")[2]) for line in lines[1:4:2]]
+    assert printed == pytest.approx([value, threshold], rel=5e-6, abs=0)
+    assert lines[4].endswith("-> violated")
+
+
+@pytest.mark.parametrize("d", [3, 50, 1000])
+def test_threshold_family_I3_verdict_on_both_sides(capsys, d):
+    threshold = 2.0 / dense_I3_value(d)
+    for p, verdict in ((threshold + 1e-6, "violated"), (threshold - 1e-6, "not violated")):
+        code, out, _ = run(
+            capsys, "threshold", "-d", str(d), "--family", "I3",
+            "--noise-p", repr(p), "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == verdict
+        assert (payload["noisy_value"] > 2.0) == (verdict == "violated")
+
+
+def test_threshold_family_I3_at_a_million_outcomes(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "threshold", "-d", "1000000", "--family", "I3", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert 2.0 < json.loads(out)["quantum_value"] < 4.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_threshold_builds_no_dense_table(capsys, family):
+    # one (2, 2, d, d) float table at d = 4096 is 512 MiB
+    tracemalloc.start()
+    try:
+        code = cli.main(
+            ["threshold", "-d", "4096", "--family", family, "--noise-p", "0.8", "--format", "json"]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------- sweep

@@ -15,6 +15,7 @@ from qudit_bell import (
     StrategyArray,
     build_expression,
     canonical_shift,
+    check_enumeration_cap,
     differences_of,
     evaluate,
     local_bound_bruteforce,
@@ -198,6 +199,23 @@ def test_bruteforce_cap_raises_with_pointer():
     assert value == 2.0
     with pytest.raises(EnumerationCapError):
         local_bound_bruteforce(build_expression("Id", 4), cap=100)
+
+
+def test_enumeration_cap_check_is_the_bruteforce_gate():
+    check_enumeration_cap(56)  # 56^4 = 9,834,496 fits under the default cap
+    check_enumeration_cap(3, cap=81)
+    message = (
+        "enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; "
+        "use local_bound_cases for large dimensions"
+    )
+    with pytest.raises(EnumerationCapError) as direct:
+        check_enumeration_cap(57)
+    assert str(direct.value) == message
+    with pytest.raises(EnumerationCapError) as via_bruteforce:
+        local_bound_bruteforce(build_expression("I", 57))
+    assert str(via_bruteforce.value) == message
+    with pytest.raises(EnumerationCapError, match="3\\^4 = 81 strategies exceeds the cap 80"):
+        check_enumeration_cap(3, cap=80)
 
 
 def test_bruteforce_float_fallback_path():

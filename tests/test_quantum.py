@@ -20,6 +20,9 @@ from qudit_bell import (
     closed_form_distribution,
     correlator,
     evaluate,
+    evaluate_via_correlators,
+    family_profile,
+    local_bound_bruteforce,
     mixed_distribution,
     noise_threshold,
     noisy_value,
@@ -28,9 +31,11 @@ from qudit_bell import (
     quantum_correlator,
     quantum_value,
     quantum_value_I,
+    quantum_value_I3,
     shift_interval,
     symmetry_check,
 )
+from qudit_bell.expressions import FAMILIES, JointDistribution
 from qudit_bell.local_models import DeterministicStrategy
 
 dims = st.integers(min_value=2, max_value=12)
@@ -212,6 +217,67 @@ def test_quantum_value_I_check_raises(monkeypatch):
     monkeypatch.setattr(quantum_module, "quantum_correlator", lambda c, d: 0.5)
     with pytest.raises(RuntimeError, match="fell to 3 or below"):
         quantum_value_I(4)
+
+
+I3_DIMENSIONS = [*range(2, 65), 128, 512, 1024]
+
+
+def mpmath_I3_value(d):
+    with mpmath.workdps(40):
+        quarter = mpmath.mpf(1) / 4
+        q = [
+            1 / (2 * mpmath.mpf(d) ** 2 * mpmath.sin(mpmath.pi * (c + quarter) / d) ** 2)
+            for c in (0, -1)
+        ]
+        return 4 * (q[0] - q[1])
+
+
+def test_quantum_value_I3_matches_dense_and_correlator_routes():
+    for d in I3_DIMENSIONS:
+        expr = build_expression("I3", d)
+        dist = closed_form_distribution(d)
+        value = quantum_value_I3(d)
+        assert value == pytest.approx(evaluate(expr, dist), rel=1e-12, abs=0)
+        assert value == pytest.approx(evaluate_via_correlators(expr, dist), rel=1e-12, abs=0)
+
+
+def test_quantum_value_I3_against_mpmath():
+    for d in [*I3_DIMENSIONS, 4096, 10**6]:
+        exact = mpmath_I3_value(d)
+        assert abs(quantum_value_I3(d) - exact) <= 1e-14 * exact
+
+
+def test_quantum_value_I3_anchors():
+    assert quantum_value_I3(2) == pytest.approx(2 * math.sqrt(2), rel=1e-15, abs=0)
+    assert quantum_value_I3(3) == pytest.approx(4 / (-9 + 6 * math.sqrt(3)), rel=1e-15, abs=0)
+    assert quantum_value_I3(3) == pytest.approx(quantum_value(3), rel=1e-15, abs=0)
+    with pytest.raises(ValueError):
+        quantum_value_I3(1)
+
+
+def test_family_profile_is_bit_identical_to_the_family_values():
+    for d in (2, 3, 4, 7, 100, 4096):
+        assert family_profile("Id", d) == (quantum_value(d), 2.0, 0.0)
+        assert family_profile("I", d) == (quantum_value_I(d), 3.0, 4.0 / d)
+        assert family_profile("I3", d) == (quantum_value_I3(d), 2.0, 0.0)
+        value, bound, uniform = family_profile("Id", d)
+        assert (bound - uniform) / (value - uniform) == noise_threshold(d)
+        for p in (0.0, 0.3, noise_threshold(d), 0.9, 1.0):
+            assert p * value + (1.0 - p) * uniform == noisy_value(d, NoiseModel(p))
+    with pytest.raises(ValueError, match="unknown family"):
+        family_profile("I4", 3)
+
+
+def test_family_profile_bounds_and_noise_values_match_independent_routes():
+    for family in FAMILIES:
+        for d in range(2, 7):
+            expr = build_expression(family, d)
+            value, bound, uniform = family_profile(family, d)
+            assert local_bound_bruteforce(expr)[0] == bound
+            assert evaluate(expr, JointDistribution.uniform(d)) == pytest.approx(
+                uniform, abs=1e-12
+            )
+            assert value > bound
 
 
 # ---------------------------------------------------------------- asymptotics
