@@ -18,16 +18,30 @@ length-d shift-weight vectors c (scaled by d) and the amplitude vectors
 
     A[ab, m] = (1/d) * sum_j w_j exp(i [phi_a(j) + chi_b(j) + 2 pi j m / d]),
 
-one (4, d) matrix product per evaluation.  The reported best point is
-replayed through the dense Born-rule table and tensor contraction.
+one (4, d) matrix product per evaluation.  `_value_kernel` evaluates a
+(K, P) block of points at once, and each row's value is independent of
+the other rows, bit for bit.  The reported best point is replayed
+through the dense Born-rule table and tensor contraction.
+
+The search runs speculatively.  From a restart's current point every
+trial up to its next accepted move is known in advance: the pending
+walk step, then the +/- probes to the end of the sweep.  The restarts
+advance in lockstep; each round evaluates a chunk of every live
+restart's pending trials in one kernel call (a few after a hit, twice
+as many after a round that missed), and each restart keeps the prefix
+up to its first hit, discarding the rest.  The restarts' moves are
+merged in restart order afterwards, so traces, evaluation indices and
+results are exactly those of running the restarts one after another,
+one trial at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +67,9 @@ VERIFICATION_ATOL = 1e-9
 
 INITIAL_STEP = 0.8
 MIN_STEP = 1e-8
+# Speculative trials a restart asks for in the round after a hit; the
+# number doubles after every round in which all of them missed.
+FIRST_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -60,7 +77,9 @@ class OptimizationProblem:
     """Search-space and budget configuration.
 
     ``budget`` caps the total number of objective evaluations; it is
-    split evenly across the restarts.
+    split evenly across the restarts, each of which gets at least one,
+    so ``restarts`` may not exceed it.  ``seed`` seeds
+    `numpy.random.SeedSequence` and must be non-negative.
     """
 
     dimension: int
@@ -81,6 +100,12 @@ class OptimizationProblem:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.restarts > self.budget:
+            raise ValueError(
+                f"restarts ({self.restarts}) must not exceed budget ({self.budget})"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.vary_alice_phases or self.vary_bob_phases or self.vary_state_weights):
             raise ValueError("at least one parameter block must vary")
 
@@ -98,16 +123,20 @@ class OptimizationProblem:
 
 
 def _state_weights(d: int, raw: np.ndarray | None) -> np.ndarray:
-    """Normalised absolute values of a raw weight block.
+    """Normalised absolute values of raw weight blocks, row by row.
 
-    ``None`` or an all-zero block gives equal weights.
+    ``raw`` holds one block of d weights in its last axis.  ``None``, or a
+    block whose norm is not above 1e-12 (all zero, or NaN), gives equal
+    weights.  The norm is a row-wise reduction, so a block's weights do
+    not depend on the other rows.
     """
-    if raw is not None:
-        magnitudes = np.abs(raw)
-        norm = float(np.linalg.norm(magnitudes))
-        if norm > 1e-12:
-            return magnitudes / norm
-    return np.full(d, 1.0 / math.sqrt(d))
+    equal = 1.0 / math.sqrt(d)
+    if raw is None:
+        return np.full(d, equal)
+    magnitudes = np.abs(raw)
+    norms = np.sqrt(np.add.reduce(magnitudes * magnitudes, axis=-1, keepdims=True))
+    flat = ~(norms > 1e-12)
+    return np.where(flat, equal, magnitudes / np.where(flat, 1.0, norms))
 
 
 def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> QuantumSetup:
@@ -152,18 +181,15 @@ def _shift_weights(expr: BellExpression) -> np.ndarray:
     return d * shifts
 
 
-# Rows of the (4, d) phase table [alice 0, alice 1, bob 0, bob 1] that
-# combine into setting pairs (0, 0), (0, 1), (1, 0), (1, 1).
-_ALICE_ROWS = np.array([0, 0, 1, 1])
-_BOB_ROWS = np.array([2, 3, 2, 3])
+def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a problem into its batched circulant-form value kernel.
 
-
-def _value_function(problem: OptimizationProblem) -> Callable[[np.ndarray], float]:
-    """Compile a problem into its circulant-form value function.
-
-    The returned function maps a flat parameter vector (layout of
-    `objective`, length unchecked) to the expression value without
-    building a setup or a probability table.
+    The returned function maps a (K, P) block of flat parameter vectors
+    (layout of `objective`, unchecked) to their K expression values
+    without building a setup or a probability table.  A row's value
+    depends on that row alone, bit for bit: the amplitudes are one
+    (4, d) matrix product per row and the final sum is a row-wise
+    reduction, never a product across rows.
     """
     d = problem.dimension
     shift_weights = _shift_weights(build_expression(problem.family, d)).ravel()
@@ -183,20 +209,21 @@ def _value_function(problem: OptimizationProblem) -> Callable[[np.ndarray], floa
     phase_count = (last - first) * (d - 1)
     vary_weights = problem.vary_state_weights
 
-    def value(params: np.ndarray) -> float:
-        rows = reference_rows.copy()
-        rows[first:last, 1:] = params[:phase_count].reshape(last - first, d - 1)
+    def values(block: np.ndarray) -> np.ndarray:
+        count = len(block)
+        rows = np.repeat(reference_rows[None], count, axis=0)
+        rows[:, first:last, 1:] = block[:, :phase_count].reshape(count, last - first, d - 1)
         weights = (
-            _state_weights(d, params[phase_count : phase_count + d])
+            _state_weights(d, block[:, phase_count:])[:, None, None]
             if vary_weights
             else equal_weights
         )
-        angles = rows[_ALICE_ROWS] + rows[_BOB_ROWS]
-        amplitudes = (weights * np.exp(1j * angles)) @ fourier
-        parts = amplitudes.view(np.float64).ravel()
-        return float(np.dot(pair_weights, parts * parts))
+        angles = rows[:, :2, None] + rows[:, None, 2:]  # [K, alice s, bob t, j]
+        amplitudes = (weights * np.exp(1j * angles)).reshape(count, 4, d) @ fourier
+        parts = amplitudes.view(np.float64).reshape(count, -1)
+        return np.add.reduce(pair_weights * (parts * parts), axis=-1)
 
-    return value
+    return values
 
 
 def objective(problem: OptimizationProblem, parameters) -> float:
@@ -213,7 +240,7 @@ def objective(problem: OptimizationProblem, parameters) -> float:
         )
     if not np.all(np.isfinite(params)):
         raise ValueError("parameters must be finite")
-    return _value_function(problem)(params)
+    return float(_value_kernel(problem)(params[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,77 +268,133 @@ def _initial_point(problem: OptimizationProblem, rng: np.random.Generator) -> np
     return np.concatenate(parts)
 
 
+@dataclass(eq=False)
+class _Restart:
+    """One restart of the pattern search, advanced a batch of trials at a time.
+
+    Probe k of a sweep moves coordinate k // 2 by +step (k even) or
+    -step (k odd).  After a hit on probe k the restart walks: it retries
+    probe k from the new point until that misses, then resumes the sweep
+    at probe 2 (k // 2 + 1).  ``moves`` logs every accepted point, the
+    initial one included, as (evaluation, value, point), with evaluations
+    counted from 1 within this restart.
+    """
+
+    x: np.ndarray
+    fx: float
+    remaining: int
+    step: float = INITIAL_STEP
+    position: int = 0
+    moved: bool = False
+    walk: int | None = None
+    chunk: int = FIRST_CHUNK
+    consumed: int = 1
+    moves: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
+
+    @property
+    def live(self) -> bool:
+        return self.remaining > 0 and self.step > MIN_STEP
+
+    def pending(self, sweep: int) -> list[int]:
+        """Probes of the trials up to the next possible move.
+
+        Every trial up to the next hit is known in advance: the walk step,
+        then the probes to the end of the sweep.  At most ``chunk`` of them
+        are returned, and never more than the remaining budget.
+        """
+        limit = min(self.chunk, self.remaining)
+        probes = list(range(self.position, min(sweep, self.position + limit)))
+        if self.walk is not None:
+            probes = [self.walk, *probes][:limit]
+        return probes
+
+    def consume(
+        self, probes: list[int], values: list[float], points: np.ndarray, sweep: int
+    ) -> None:
+        """Keep the prefix of the trials that the one-at-a-time search makes.
+
+        That prefix ends at the first trial with ``not (f <= fx)``, which
+        also accepts a NaN value; later trials started from a stale point
+        and are dropped.
+        """
+        hit = next((i for i, value in enumerate(values) if not value <= self.fx), None)
+        used = len(values) if hit is None else hit + 1
+        self.consumed += used
+        self.remaining -= used
+        if hit is not None:
+            self.x = points[hit].copy()
+            self.fx = values[hit]
+            self.moves.append((self.consumed, self.fx, self.x))
+            self.moved = True
+            self.walk = probes[hit]
+            self.position = (self.walk | 1) + 1
+            self.chunk = FIRST_CHUNK
+            return
+        self.position += used - (self.walk is not None)
+        self.walk = None
+        self.chunk *= 2
+        if self.position == sweep:
+            if not self.moved:
+                self.step *= 0.5
+            self.moved = False
+            self.position = 0
+
+
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Run the seeded random-restart pattern search.
 
-    Identical problems produce identical traces and results.  The search
-    evaluates through the circulant form; the final best value is
-    re-verified from the result's own phases and weights through the
-    dense Born-rule table and tensor contraction, and a disagreement
+    Identical problems produce identical traces and results, equal bit
+    for bit to running the restarts one after the other, one trial at a
+    time.  The restarts advance in lockstep: each round evaluates every
+    live restart's pending trials in one kernel call.  The final best
+    value is re-verified from the result's own phases and weights through
+    the dense Born-rule table and tensor contraction, and a disagreement
     beyond 1e-9 raises RuntimeError.
     """
-    value_of = _value_function(problem)
-    n = problem.parameter_count
-    per_restart = max(1, problem.budget // problem.restarts)
-    seeds = np.random.SeedSequence(problem.seed).spawn(problem.restarts)
+    values_of = _value_kernel(problem)
+    sweep = 2 * problem.parameter_count
+    per_restart = problem.budget // problem.restarts
+    starts = np.array([
+        _initial_point(problem, np.random.default_rng(seed))
+        for seed in np.random.SeedSequence(problem.seed).spawn(problem.restarts)
+    ])
+    restarts = [
+        _Restart(x, fx, per_restart - 1, moves=[(1, fx, x)])
+        for x, fx in zip(starts, values_of(starts).tolist())
+    ]
 
-    evaluations = 0
+    live = [restart for restart in restarts if restart.live]
+    while live:
+        batches = [restart.pending(sweep) for restart in live]
+        counts = [len(probes) for probes in batches]
+        owner = np.repeat(np.arange(len(live)), counts)
+        probes = np.fromiter(itertools.chain.from_iterable(batches), np.intp, len(owner))
+        steps = np.array([restart.step for restart in live])[owner]
+        # Probe k adds +step (k even) or -step (k odd) to coordinate k // 2.
+        points = np.array([restart.x for restart in live])[owner]
+        points[np.arange(len(owner)), probes >> 1] += np.where(probes & 1, -steps, steps)
+        values = values_of(points).tolist()
+        offset = 0
+        for restart, probes, count in zip(live, batches, counts):
+            end = offset + count
+            restart.consume(probes, values[offset:end], points[offset:end], sweep)
+            offset = end
+        live = [restart for restart in live if restart.live]
+
+    # Merge in restart order, as if the restarts had run one after another.
     trace: list[tuple[int, float]] = []
     best_value = -math.inf
     best_params: np.ndarray | None = None
-    initial_value: float | None = None
+    offset = 0
+    for restart in restarts:
+        for evaluation, value, point in restart.moves:
+            if value > best_value:
+                best_value, best_params = value, point
+                trace.append((offset + evaluation, value))
+        offset += restart.consumed
+    initial_value = restarts[0].moves[0][1]
 
-    def record(candidate: float, params: np.ndarray) -> None:
-        nonlocal best_value, best_params
-        if candidate > best_value:
-            best_value = candidate
-            best_params = params.copy()
-            trace.append((evaluations, candidate))
-
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        x = _initial_point(problem, rng)
-        fx = value_of(x)
-        evaluations += 1
-        remaining = per_restart - 1
-        if initial_value is None:
-            initial_value = fx
-        record(fx, x)
-
-        step = INITIAL_STEP
-        while remaining > 0 and step > MIN_STEP:
-            moved = False
-            for coord in range(n):
-                if remaining <= 0:
-                    break
-                for sign in (1.0, -1.0):
-                    if remaining <= 0:
-                        break
-                    trial = x.copy()
-                    trial[coord] += sign * step
-                    ft = value_of(trial)
-                    evaluations += 1
-                    remaining -= 1
-                    if ft <= fx:
-                        continue
-                    x, fx = trial, ft
-                    moved = True
-                    record(fx, x)
-                    while remaining > 0:  # keep walking while the direction pays
-                        trial = x.copy()
-                        trial[coord] += sign * step
-                        ft = value_of(trial)
-                        evaluations += 1
-                        remaining -= 1
-                        if ft <= fx:
-                            break
-                        x, fx = trial, ft
-                        record(fx, x)
-                    break
-            if not moved:
-                step *= 0.5
-
-    if best_params is None or initial_value is None:
+    if best_params is None:
         raise RuntimeError("search recorded no incumbent: every objective value was NaN or -inf")
     setup = _setup_from_parameters(problem, best_params)
     verified = evaluate(

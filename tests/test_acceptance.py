@@ -245,3 +245,20 @@ def test_criterion_8e_gauge_invariance():
             assert abs(v1 - v0) < 1e-12
             cases += 1
         assert cases >= 1000
+
+
+def test_criterion_9_free_weight_optimum():
+    # Acin, Durt, Gisin, Latorre, PRA 65, 052325 (2002): with the Schmidt
+    # weights free the d = 3 maximum is 1 + sqrt(11/3), attained at weights
+    # proportional to (1, gamma, 1) with gamma = (sqrt(11) - sqrt(3)) / 2.
+    with criterion(9, "free state weights reach the d = 3 optimum 1 + sqrt(11/3)"):
+        result = maximize(OptimizationProblem(dimension=3, vary_state_weights=True))
+        assert abs(result.best_value - (1 + math.sqrt(11 / 3))) <= 1e-9
+        gamma = (math.sqrt(11) - math.sqrt(3)) / 2
+        target = np.array([1.0, gamma, 1.0])
+        weights = np.abs(result.best_state_weights)
+        np.testing.assert_allclose(
+            np.sort(weights / np.linalg.norm(weights)),
+            np.sort(target / np.linalg.norm(target)),
+            atol=1e-6,
+        )

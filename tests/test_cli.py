@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -379,6 +380,47 @@ def test_optimize_default_trace_respects_env_dir(capsys, tmp_path, monkeypatch):
 def test_optimize_validates_budget(capsys):
     code, _, err = run(capsys, "optimize", "-d", "2", "--budget", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ("--budget", "1", "--restarts", "5"),
+        ("--budget", "10", "--restarts", "20"),
+        ("--seed", "-1"),
+    ],
+    ids=["budget-1-restarts-5", "budget-10-restarts-20", "negative-seed"],
+)
+def test_optimize_rejects_bad_search_settings(capsys, tmp_path, settings):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "optimize", "-d", "3", *settings, "--trace-out", str(trace))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not trace.exists()
+
+
+def test_optimize_vary_state_weights_reaches_free_weight_optimum(capsys, tmp_path):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run(
+        capsys, "optimize", "-d", "3", "--vary-state-weights", "--format", "json",
+        "--trace-out", str(trace),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vary_state_weights"] is True
+    assert payload["best_value"] == pytest.approx(1 + math.sqrt(11 / 3), abs=1e-9)
+    assert payload["exceeds_reference"] is True
+    # the excess is the expected result here, so the table carries no warning
+    code, out, _ = run(
+        capsys, "optimize", "-d", "3", "--vary-state-weights", "--budget", "3000",
+        "--trace-out", str(trace),
+    )
+    assert code == 0
+    assert "WARNING" not in out
+    assert float(out.split("(difference ")[1].split(")")[0]) > 1e-6
 
 
 # ---------------------------------------------------------------- reproduce

@@ -21,7 +21,14 @@ from qudit_bell import (
     quantum_value,
     write_trace_csv,
 )
-from qudit_bell.optimize import _setup_from_parameters, _shift_weights, _value_function
+from qudit_bell.optimize import (
+    INITIAL_STEP,
+    MIN_STEP,
+    _initial_point,
+    _setup_from_parameters,
+    _shift_weights,
+    _value_kernel,
+)
 
 
 def test_problem_validation():
@@ -33,6 +40,12 @@ def test_problem_validation():
         OptimizationProblem(dimension=3, budget=0)
     with pytest.raises(ValueError):
         OptimizationProblem(dimension=3, restarts=0)
+    with pytest.raises(ValueError, match="must not exceed budget"):
+        OptimizationProblem(dimension=3, budget=1, restarts=5)
+    with pytest.raises(ValueError, match="must not exceed budget"):
+        OptimizationProblem(dimension=3, budget=10, restarts=20)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizationProblem(dimension=3, seed=-1)
     with pytest.raises(ValueError):
         OptimizationProblem(
             dimension=3,
@@ -189,7 +202,7 @@ def test_lean_value_matches_dense_born_rule():
                     vary_bob_phases=bob,
                     vary_state_weights=weights,
                 )
-                value = _value_function(problem)
+                values = _value_kernel(problem)
                 samples = [rng.uniform(-2 * np.pi, 2 * np.pi, problem.parameter_count)]
                 if weights:
                     signed = rng.uniform(-1.0, 1.0, problem.parameter_count)
@@ -200,8 +213,9 @@ def test_lean_value_matches_dense_born_rule():
                     dense = evaluate_via_correlators(
                         expr, born_rule_distribution(_setup_from_parameters(problem, params))
                     )
-                    assert value(params) == pytest.approx(dense, abs=1e-12), (d, family)
-                    assert objective(problem, params) == value(params)
+                    value = values(params[None])[0]
+                    assert value == pytest.approx(dense, abs=1e-12), (d, family)
+                    assert objective(problem, params) == value
                     cases += 1
     assert cases >= 300
 
@@ -213,23 +227,166 @@ def test_shift_weights_reject_non_circulant_tensor():
         _shift_weights(BellExpression(3, "Id", coefficients))
 
 
-def test_free_state_weights_reach_d3_optimum():
-    # Acin, Durt, Gisin, Latorre, PRA 65, 052325 (2002): with the Schmidt
-    # weights free the d = 3 maximum is 1 + sqrt(11/3), attained at weights
-    # proportional to (1, gamma, 1) with gamma = (sqrt(11) - sqrt(3)) / 2.
-    result = maximize(OptimizationProblem(dimension=3, vary_state_weights=True))
-    assert result.best_value == pytest.approx(1 + math.sqrt(11 / 3), abs=1e-9)
-    gamma = (math.sqrt(11) - math.sqrt(3)) / 2
-    target = np.array([1.0, gamma, 1.0])
-    weights = np.abs(result.best_state_weights)
-    np.testing.assert_allclose(
-        np.sort(weights / np.linalg.norm(weights)),
-        np.sort(target / np.linalg.norm(target)),
-        atol=1e-6,
-    )
-
-
 def test_maximize_raises_when_no_incumbent(monkeypatch):
-    monkeypatch.setattr(optimize_module, "_value_function", lambda problem: lambda x: math.nan)
+    monkeypatch.setattr(
+        optimize_module, "_value_kernel", lambda problem: lambda block: np.full(len(block), np.nan)
+    )
     with pytest.raises(RuntimeError, match="no incumbent"):
         maximize(OptimizationProblem(dimension=2, budget=10, restarts=1))
+
+
+# ---------------------------------------------------------------- batched search
+
+
+def _problems(dimensions, **kwargs):
+    for d in dimensions:
+        for family in ("I", "I3", "Id"):
+            for alice, bob, weights in VARY_BLOCKS:
+                yield OptimizationProblem(
+                    dimension=d,
+                    family=family,
+                    vary_alice_phases=alice,
+                    vary_bob_phases=bob,
+                    vary_state_weights=weights,
+                    **kwargs,
+                )
+
+
+def test_kernel_rows_are_independent_of_the_block():
+    rng = np.random.default_rng(17)
+    cases = 0
+    for problem in _problems(range(2, 13)):
+        values = _value_kernel(problem)
+        block = rng.uniform(-2 * np.pi, 2 * np.pi, (9, problem.parameter_count))
+        if problem.vary_state_weights:
+            block[4, -problem.dimension :] = 0.0  # equal-weight fallback row
+        batched = values(block)
+        assert batched.shape == (9,)
+        for row, value in zip(block, batched):
+            assert values(row[None])[0] == value
+        assert np.array_equal(values(block[::-1]), batched[::-1])
+        cases += 1
+    assert cases == 11 * 3 * 7
+
+
+def _sequential_search(problem):
+    """The one-trial-at-a-time pattern search, fed the kernel one row at a time.
+
+    Returns the trace, the best parameters, `improved` and the number of
+    evaluations spent.
+    """
+    kernel = optimize_module._value_kernel(problem)
+
+    def value_of(x):
+        return float(kernel(x[None])[0])
+
+    n = problem.parameter_count
+    per_restart = problem.budget // problem.restarts
+    evaluations = 0
+    trace = []
+    best_value = -math.inf
+    best_params = None
+    initial_value = None
+
+    def record(candidate, params):
+        nonlocal best_value, best_params
+        if candidate > best_value:
+            best_value = candidate
+            best_params = params.copy()
+            trace.append((evaluations, candidate))
+
+    for seed in np.random.SeedSequence(problem.seed).spawn(problem.restarts):
+        x = _initial_point(problem, np.random.default_rng(seed))
+        fx = value_of(x)
+        evaluations += 1
+        remaining = per_restart - 1
+        if initial_value is None:
+            initial_value = fx
+        record(fx, x)
+
+        step = INITIAL_STEP
+        while remaining > 0 and step > MIN_STEP:
+            moved = False
+            for coord in range(n):
+                if remaining <= 0:
+                    break
+                for sign in (1.0, -1.0):
+                    if remaining <= 0:
+                        break
+                    trial = x.copy()
+                    trial[coord] += sign * step
+                    ft = value_of(trial)
+                    evaluations += 1
+                    remaining -= 1
+                    if ft <= fx:
+                        continue
+                    x, fx = trial, ft
+                    moved = True
+                    record(fx, x)
+                    while remaining > 0:  # keep walking while the direction pays
+                        trial = x.copy()
+                        trial[coord] += sign * step
+                        ft = value_of(trial)
+                        evaluations += 1
+                        remaining -= 1
+                        if ft <= fx:
+                            break
+                        x, fx = trial, ft
+                        record(fx, x)
+                    break
+            if not moved:
+                step *= 0.5
+    return trace, best_params, best_value > initial_value, evaluations
+
+
+def _assert_matches_sequential(problem):
+    trace, best_params, improved, evaluations = _sequential_search(problem)
+    result = maximize(problem)
+    assert result.trace == tuple(trace)
+    assert result.improved == improved
+    setup = _setup_from_parameters(problem, best_params)
+    for s in (0, 1):
+        assert np.array_equal(result.best_phases.alice_phase(s), setup.phases.alice_phase(s))
+        assert np.array_equal(result.best_phases.bob_phase(s), setup.phases.bob_phase(s))
+    assert np.array_equal(result.best_state_weights, setup.state_weights)
+    expr = build_expression(problem.family, problem.dimension)
+    assert result.best_value == evaluate(expr, born_rule_distribution(setup))
+    return evaluations
+
+
+@pytest.mark.parametrize(
+    "budget, restarts",
+    [(1, 1), (3, 3), (203, 4)],
+    ids=["budget-1", "budget-equals-restarts", "budget-not-divisible"],
+)
+def test_batched_search_equals_sequential_search(budget, restarts):
+    for problem in _problems(range(2, 13), budget=budget, restarts=restarts, seed=budget):
+        evaluations = _assert_matches_sequential(problem)
+        assert evaluations == (budget // restarts) * restarts
+
+
+def test_batched_search_equals_sequential_search_past_min_step():
+    # a budget large enough that restarts halve their step below MIN_STEP,
+    # and so stop, before their share is spent
+    for problem in _problems([2], budget=6000, restarts=3, seed=8):
+        assert _assert_matches_sequential(problem) < problem.budget
+
+
+def test_batched_search_keeps_nan_semantics(monkeypatch):
+    # `not (f <= fx)` accepts a NaN value as a move, and from a NaN
+    # incumbent every trial is a move; the batched search must agree
+    compile_kernel = optimize_module._value_kernel
+
+    def kernel_with_nans(problem):
+        values = compile_kernel(problem)
+
+        def patched(block):
+            out = values(block)
+            out[np.sin(7.0 * block[:, 0]) > 0.8] = math.nan
+            return out
+
+        return patched
+
+    monkeypatch.setattr(optimize_module, "_value_kernel", kernel_with_nans)
+    for problem in _problems([2, 3], budget=300, restarts=3, seed=5):
+        _assert_matches_sequential(problem)
