@@ -61,9 +61,8 @@ def main() -> int:
         reference = quantum_value(d)
         diff = result.best_value - reference
         worst = max(worst, abs(diff))
-        evals = result.trace[-1][0] if result.trace else 0
         print(f"{d:>4} {reference:>14.10f} {result.best_value:>14.10f} "
-              f"{diff:>+12.2e} {evals:>7} {elapsed:>6.1f}s")
+              f"{diff:>+12.2e} {result.evaluations:>7} {elapsed:>6.1f}s")
         if args.trace_dir:
             out = Path(args.trace_dir)
             out.mkdir(parents=True, exist_ok=True)

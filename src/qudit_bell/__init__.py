@@ -59,6 +59,7 @@ from .quantum import (
     noisy_value,
     ordered_shifts,
     quantum_correlator,
+    quantum_correlators,
     quantum_value,
     quantum_value_I,
     quantum_value_I3,
@@ -106,6 +107,7 @@ __all__ = [
     "ordered_shifts",
     "point_mass_distribution",
     "quantum_correlator",
+    "quantum_correlators",
     "quantum_value",
     "quantum_value_I",
     "quantum_value_I3",

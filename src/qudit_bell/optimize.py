@@ -249,7 +249,9 @@ class OptimizationResult:
 
     ``trace`` holds (evaluation_index, incumbent_value) pairs recording
     every improvement; ``improved`` is False when nothing beat the very
-    first sampled point.
+    first sampled point.  ``evaluations`` counts the objective evaluations
+    spent: the whole budget share of each restart, less what a restart
+    left unspent when its step fell to ``MIN_STEP``.
     """
 
     best_value: float
@@ -257,6 +259,7 @@ class OptimizationResult:
     best_state_weights: np.ndarray
     trace: tuple[tuple[int, float], ...]
     improved: bool
+    evaluations: int
 
 
 def _initial_point(problem: OptimizationProblem, rng: np.random.Generator) -> np.ndarray:
@@ -412,6 +415,7 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         best_state_weights=setup.state_weights,
         trace=tuple(trace),
         improved=best_value > initial_value,
+        evaluations=sum(restart.consumed for restart in restarts),
     )
 
 

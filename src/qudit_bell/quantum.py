@@ -49,6 +49,7 @@ __all__ = [
     "noisy_value",
     "ordered_shifts",
     "quantum_correlator",
+    "quantum_correlators",
     "quantum_value",
     "quantum_value_I",
     "quantum_value_I3",
@@ -239,17 +240,30 @@ def quantum_correlator(c: int, d: int) -> float:
     return 1.0 / (2.0 * d * d * math.sin(math.pi * (c + 0.25) / d) ** 2)
 
 
+def quantum_correlators(d: int) -> list[tuple[int, float]]:
+    """The pairs (c, q_c) for every canonical shift, in `ordered_shifts` order.
+
+    The shifts come from one range check, and each value from the scalar
+    formula of `quantum_correlator`, so the list equals
+    ``[(c, quantum_correlator(c, d)) for c in ordered_shifts(d)]`` bit for
+    bit.  (The vectorised `_correlator_values` differs in the last bits at
+    large d.)
+    """
+    scale = 2.0 * d * d
+    sin, pi = math.sin, math.pi
+    return [(c, 1.0 / (scale * sin(pi * (c + 0.25) / d) ** 2)) for c in ordered_shifts(d)]
+
+
 def ordered_shifts(d: int) -> tuple[int, ...]:
-    """Canonical shifts in strictly decreasing order of `quantum_correlator`."""
+    """Canonical shifts in strictly decreasing order of `quantum_correlator`.
+
+    That order is 0, -1, 1, -2, 2, ...: negative shifts at the odd
+    positions, positive ones at the even positions.
+    """
     lo, hi = shift_interval(d)
-    out = [0]
-    m = 1
-    while len(out) < d:
-        if -m >= lo:
-            out.append(-m)
-        if m <= hi and len(out) < d:
-            out.append(m)
-        m += 1
+    out = [0] * d
+    out[1::2] = range(-1, lo - 1, -1)
+    out[2::2] = range(1, hi + 1)
     return tuple(out)
 
 

@@ -8,7 +8,10 @@ import os
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qudit_bell.cli as cli
 from qudit_bell import (
@@ -57,6 +60,14 @@ def test_bad_range(capsys):
 def test_sweep_rejects_other_families(capsys):
     code, _, err = run(capsys, "sweep", "-d", "2..3", "--family", "I")
     assert code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "threshold", "-d", "3", "--noise-p", "0.9", "--format", "json")
+    assert code == 0 and "verdict" in json.loads(out)
+    code, out, _ = run(capsys, "threshold", "-d", "3", "--format", "json")
+    assert code == 0 and "verdict" not in json.loads(out)
 
 
 def test_bad_noise_p(capsys):
@@ -200,6 +211,127 @@ def test_quantum_json(capsys):
     assert shifts == [0, -1, 1]
     values = [row["value"] for row in payload["correlators"]]
     assert values == sorted(values, reverse=True)
+
+
+def test_quantum_dimension_cap(capsys, monkeypatch):
+    assert cli.QUANTUM_MAX_DIMENSION == 2 ** 20
+    code, out, err = run(capsys, "quantum", "-d", str(2 ** 20 + 1), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    monkeypatch.setattr(cli, "QUANTUM_MAX_DIMENSION", 5)
+    code, out, _ = run(capsys, "quantum", "-d", "5", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+
+    def computed(d):
+        raise AssertionError(f"computed at d={d}, past the cap")
+
+    for name in ("quantum_value", "quantum_value_I", "quantum_correlators"):
+        monkeypatch.setattr(cli, name, computed)
+    code, out, err = run(capsys, "quantum", "-d", "6")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cap 5" in lines[0]
+
+
+# ---------------------------------------------------------------- json emitter
+
+JSON_KEYS = st.text(max_size=8) | st.sampled_from(["shift", '"q"', "%d", "100%", "a\\b", "\u00e9"])
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 63, max_value=2 ** 200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.floats().map(np.float64),
+    st.text(max_size=12),
+    st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f",
+                     "caf\u00e9 \u20ac \U0001f600", "%s %d %r %%", ""]),
+)
+JSON_COLUMNS = st.sampled_from([
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+    st.booleans(),
+    JSON_SCALARS,
+])
+
+
+@st.composite
+def json_records(draw):
+    """A list of objects that share their keys, as `sweep` and `quantum` emit."""
+    keys = draw(st.lists(JSON_KEYS, unique=True, max_size=4))
+    columns = {key: draw(JSON_COLUMNS) for key in keys}
+    count = draw(st.integers(min_value=0, max_value=6))
+    return [{key: draw(column) for key, column in columns.items()} for _ in range(count)]
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS
+    | json_records()
+    | st.lists(st.lists(st.floats(allow_nan=False), max_size=5), max_size=3),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_json_emitter_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_emitter_matches_json_dumps_on_fixed_cases():
+    cases = [
+        {}, [], {"a": []}, {"a": {}}, [{}], [{}, {}], [[]],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],        # same keys, other order
+        [{"a": 1}, {"a": 1, "b": 2}],                # different keys
+        [{"a": [1.5, 2]}, {"a": [3]}],               # records holding containers
+        [True, 1, 2], [1.0, np.float64(2.5), -0.0], [math.nan, 1.0],
+        {"rows": [{"d": 2, "value": 2.8284271247461903, "ok": True, "name": None}]},
+        [{"%d": 1, '"': "%s"}, {"%d": 2, '"': "\u00e9"}],
+    ]
+    for value in cases:
+        assert cli._json_text(value) == json.dumps(value, indent=2), value
+
+
+CSV_CELLS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.text(max_size=8),
+    st.sampled_from(["a,b", '"q"', "line\nbreak", "%d", ""]),
+)
+CSV_ROW_WIDTHS = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows: ragged ones, or rows of one width with a type per column."""
+    width = draw(CSV_ROW_WIDTHS)
+    columns = [draw(st.sampled_from([st.integers(), st.floats(), CSV_CELLS])) for _ in range(width)]
+    header = draw(st.lists(st.text(max_size=6), min_size=width, max_size=width))
+    row = st.lists(CSV_CELLS, max_size=5) if draw(st.booleans()) else st.tuples(*columns)
+    return [header, *draw(st.lists(row, max_size=6))]
+
+
+def csv_writer_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+def test_csv_text_matches_csv_writer(rows):
+    assert cli._csv_text(rows) == csv_writer_text(rows)
 
 
 # ---------------------------------------------------------------- threshold

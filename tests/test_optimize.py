@@ -344,6 +344,7 @@ def _assert_matches_sequential(problem):
     result = maximize(problem)
     assert result.trace == tuple(trace)
     assert result.improved == improved
+    assert result.evaluations == evaluations
     setup = _setup_from_parameters(problem, best_params)
     for s in (0, 1):
         assert np.array_equal(result.best_phases.alice_phase(s), setup.phases.alice_phase(s))
@@ -363,6 +364,15 @@ def test_batched_search_equals_sequential_search(budget, restarts):
     for problem in _problems(range(2, 13), budget=budget, restarts=restarts, seed=budget):
         evaluations = _assert_matches_sequential(problem)
         assert evaluations == (budget // restarts) * restarts
+
+
+def test_evaluations_count_the_whole_budget_when_no_restart_stops_early():
+    # at d = 6 neither restart halves its step to MIN_STEP within its 1000
+    # evaluations, and the last improvement comes well before the budget ends
+    problem = OptimizationProblem(dimension=6, budget=2000, restarts=2, seed=0)
+    result = maximize(problem)
+    assert result.evaluations == problem.restarts * (problem.budget // problem.restarts)
+    assert result.trace[-1][0] < result.evaluations
 
 
 def test_batched_search_equals_sequential_search_past_min_step():

@@ -29,6 +29,7 @@ from qudit_bell import (
     ordered_shifts,
     point_mass_distribution,
     quantum_correlator,
+    quantum_correlators,
     quantum_value,
     quantum_value_I,
     quantum_value_I3,
@@ -174,6 +175,37 @@ def test_ordered_shifts_sequence():
     assert ordered_shifts(3) == (0, -1, 1)
     assert ordered_shifts(4) == (0, -1, 1, -2)
     assert ordered_shifts(5) == (0, -1, 1, -2, 2)
+
+
+def alternating_walk(d):
+    """Oracle for `ordered_shifts`: step out from 0, negative side first."""
+    lo, hi = shift_interval(d)
+    out = [0]
+    m = 1
+    while len(out) < d:
+        if -m >= lo:
+            out.append(-m)
+        if m <= hi and len(out) < d:
+            out.append(m)
+        m += 1
+    return tuple(out)
+
+
+def test_ordered_shifts_match_the_alternating_walk():
+    for d in (*range(2, 65), 1000, 1001, 8192):
+        assert ordered_shifts(d) == alternating_walk(d), d
+
+
+def test_quantum_correlators_equal_the_scalar_formula_bit_for_bit():
+    for d in (*range(2, 65), 1000, 8192):
+        expected = [(c, quantum_correlator(c, d)) for c in ordered_shifts(d)]
+        got = quantum_correlators(d)
+        assert [(c, q.hex()) for c, q in got] == [(c, q.hex()) for c, q in expected], d
+
+
+def test_quantum_correlators_reject_small_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        quantum_correlators(1)
 
 
 @given(st.integers(min_value=2, max_value=40))
