@@ -21,6 +21,7 @@ from .expressions import (
     evaluate,
     evaluate_via_correlators,
     shift_interval,
+    shift_weights,
     term_weight,
 )
 from .local_models import (
@@ -112,6 +113,7 @@ __all__ = [
     "quantum_value_I",
     "quantum_value_I3",
     "shift_interval",
+    "shift_weights",
     "strategy_value",
     "symmetry_check",
     "term_weight",

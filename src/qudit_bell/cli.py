@@ -257,35 +257,41 @@ def _base_payload(command: str, **extra) -> dict:
     return payload
 
 
+def _local_bounds(family: str, d: int, cap: int) -> tuple[tuple | None, tuple | None]:
+    """The brute-force and case-analysis results that apply, cross-checked.
+
+    The brute force runs when `check_enumeration_cap` passes; past the cap
+    a family without a case analysis (only ``Id`` has one) is a usage
+    error.  Either result is None when its route did not run.  Raises
+    `CrossCheckError` when both routes ran and disagree.
+    """
+    brute = None
+    try:
+        check_enumeration_cap(d, cap)
+    except EnumerationCapError as exc:
+        if family != "Id":
+            raise UsageError(str(exc)) from exc
+    else:
+        brute = local_bound_bruteforce(build_expression(family, d), cap=cap)
+    if family != "Id":
+        return brute, None
+    cases = local_bound_cases(d)
+    if brute is not None and abs(brute[0] - cases[0]) > CROSS_CHECK_ATOL:
+        raise CrossCheckError(
+            f"brute-force bound {brute[0]!r} disagrees with "
+            f"case analysis {cases[0]!r} at d={d}"
+        )
+    return brute, cases
+
+
 def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
-
-    brute_value = None
-    maximizer_count = None
-    try:
-        check_enumeration_cap(d, args.cap)
-    except EnumerationCapError as exc:
-        if family != "Id":
-            raise UsageError(str(exc)) from exc
-    else:
-        brute_value, maximizers = local_bound_bruteforce(
-            build_expression(family, d), cap=args.cap
-        )
-        maximizer_count = len(maximizers)
-
-    cases_value = None
-    attainable = None
-    if family == "Id":
-        cases_value, attainable_set = local_bound_cases(d)
-        attainable = sorted(attainable_set, reverse=True)
-        if brute_value is not None and abs(brute_value - cases_value) > CROSS_CHECK_ATOL:
-            raise CrossCheckError(
-                f"brute-force bound {brute_value!r} disagrees with "
-                f"case analysis {cases_value!r} at d={d}"
-            )
+    brute, cases = _local_bounds(family, d, args.cap)
+    brute_value, maximizer_count = (brute[0], len(brute[1])) if brute else (None, None)
+    cases_value, attainable = (cases[0], sorted(cases[1], reverse=True)) if cases else (None, None)
 
     bound = cases_value if cases_value is not None else brute_value
 
@@ -410,14 +416,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
         raise UsageError("sweep reports the Id family; other families are not supported")
     rows = []
     for d in range(lo, hi + 1):
-        bound, _ = local_bound_cases(d)
-        if d ** 4 <= ENUMERATION_CAP:
-            brute, _ = local_bound_bruteforce(build_expression("Id", d))
-            if abs(brute - bound) > CROSS_CHECK_ATOL:
-                raise CrossCheckError(
-                    f"brute-force bound {brute!r} disagrees with "
-                    f"case analysis {bound!r} at d={d}"
-                )
+        _, (bound, _) = _local_bounds("Id", d, ENUMERATION_CAP)
         rows.append((d, bound, quantum_value(d), noise_threshold(d)))
     header = ("d", "local_bound", "quantum_value", "noise_threshold")
 

@@ -7,6 +7,13 @@ outcome probabilities, stored as a dense coefficient tensor indexed
 ``(alice_setting, bob_setting, alice_outcome, bob_outcome)`` with
 0-based settings.
 
+Each built-in family is a sum of difference-class probabilities
+P(A = B + k), so it has one encoding: `shift_weights` gives the weight
+of each class for each setting pair, a (2, 2, d) array.
+`build_expression` expands it into the dense tensor, whose cell
+(a, b, k, l) holds the weight of class (k - l) mod d, and the phase
+search in `optimize` reads the shift weights directly.
+
 Three families are provided:
 
 ``I``
@@ -44,6 +51,7 @@ __all__ = [
     "evaluate",
     "evaluate_via_correlators",
     "shift_interval",
+    "shift_weights",
     "term_weight",
 ]
 
@@ -198,47 +206,47 @@ class BellExpression:
         return cls.from_json_dict(json.loads(text))
 
 
-def build_expression(family: str, d: int) -> BellExpression:
-    """Construct the coefficient tensor for one expression family.
+def shift_weights(family: str, d: int) -> np.ndarray:
+    """The (2, 2, d) shift weights of a built-in family: its one encoding.
 
-    Each coincidence term P(X = Y + shift) expands into the d joint
-    outcome cells whose difference class matches the shift; coefficients
-    of coinciding cells add.  Weights are formed as single divisions by
-    d-1 so equal-magnitude entries are bitwise equal.
+    ``s[a, b, m]`` is the weight of the difference class
+    P(A_{a+1} - B_{b+1} = m mod d).  Bracket k of the paper, with weight
+    w = 1 - 2k/(d-1), adds the coincidence terms P(A1 = B1 + k),
+    P(B1 = A2 + k + 1), P(A2 = B2 + k), P(B2 = A1 + k) and subtracts
+    P(A1 = B1 - k - 1), P(B1 = A2 - k), P(A2 = B2 - k - 1),
+    P(B2 = A1 - k - 1); below, each term is written as its difference
+    class A - B.  ``Id`` sums brackets 0 .. floor(d/2)-1, ``I3`` is
+    bracket 0, and ``I`` is the added half of bracket 0.  Weights of
+    coinciding terms add in term order, and each is formed as a single
+    division by d-1 so equal-magnitude entries are bitwise equal.  The
+    array is read-only.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
-    coeff = np.zeros((2, 2, d, d))
+    weights = np.zeros((2, 2, d))
+    for k in range(d // 2 if family == "Id" else 1):
+        w = (d - 1 - 2 * k) / (d - 1)
+        # (alice_setting, bob_setting, A - B, weight)
+        terms = [(0, 0, k, w), (1, 0, -k - 1, w), (1, 1, k, w), (0, 1, -k, w)]
+        if family != "I":
+            terms += [(0, 0, -k - 1, -w), (1, 0, k, -w), (1, 1, -k - 1, -w), (0, 1, k + 1, -w)]
+        for a, b, shift, weight in terms:
+            weights[a, b, shift % d] += weight
+    weights.setflags(write=False)
+    return weights
+
+
+def build_expression(family: str, d: int) -> BellExpression:
+    """The dense coefficient tensor of a built-in family.
+
+    Cell (a, b, k, l) carries the shift weight of its difference class,
+    ``shift_weights(family, d)[a, b, (k - l) % d]``.
+    """
     outcomes = np.arange(d)
-
-    def alice_leads(a: int, b: int, shift: int, weight: float) -> None:
-        # P(A_{a+1} = B_{b+1} + shift): Bob's outcome trails by `shift`.
-        coeff[a, b, outcomes, (outcomes - shift) % d] += weight
-
-    def bob_leads(a: int, b: int, shift: int, weight: float) -> None:
-        # P(B_{b+1} = A_{a+1} + shift): Alice's outcome trails by `shift`.
-        coeff[a, b, outcomes, (outcomes + shift) % d] += weight
-
-    if family == "I":
-        alice_leads(0, 0, 0, 1.0)
-        bob_leads(1, 0, 1, 1.0)
-        alice_leads(1, 1, 0, 1.0)
-        bob_leads(0, 1, 0, 1.0)
-    else:
-        brackets = 1 if family == "I3" else d // 2
-        for k in range(brackets):
-            w = (d - 1 - 2 * k) / (d - 1)
-            alice_leads(0, 0, k, w)
-            bob_leads(1, 0, k + 1, w)
-            alice_leads(1, 1, k, w)
-            bob_leads(0, 1, k, w)
-            alice_leads(0, 0, -k - 1, -w)
-            bob_leads(1, 0, -k, -w)
-            alice_leads(1, 1, -k - 1, -w)
-            bob_leads(0, 1, -k - 1, -w)
+    coeff = shift_weights(family, d)[:, :, (outcomes[:, None] - outcomes[None, :]) % d]
     return BellExpression(dimension=d, family=family, coefficients=coeff)
 
 

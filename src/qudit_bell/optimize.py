@@ -11,10 +11,12 @@ all of them.  The level-0 phase of every setting is pinned to zero
 contributes d-1 parameters per setting.  Fixed blocks stay at the
 reference construction: linear reference phases and equal state weights.
 
-The search evaluates through the circulant form.  Every built-in
-coefficient tensor depends on (k - l) mod d only, and so does every
-Born-rule table of this setup, so the value is sum c * |A|^2 over four
-length-d shift-weight vectors c (scaled by d) and the amplitude vectors
+The search evaluates through the circulant form.  Every Born-rule table
+of this setup depends on (k - l) mod d only, like the family's
+coefficients, so the value is sum c * |A|^2 over the four length-d
+shift-weight vectors c = d * shift_weights(family, d), the family's one
+encoding, read without building a coefficient tensor, and the amplitude
+vectors
 
     A[ab, m] = (1/d) * sum_j w_j exp(i [phi_a(j) + chi_b(j) + 2 pi j m / d]),
 
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import FAMILIES, BellExpression, build_expression, evaluate
+from .expressions import FAMILIES, build_expression, evaluate, shift_weights
 from .quantum import (
     REFERENCE_ALICE_SLOPES,
     REFERENCE_BOB_SLOPES,
@@ -163,24 +165,6 @@ def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> 
     return QuantumSetup(dimension=d, state_weights=weights, phases=phases)
 
 
-def _shift_weights(expr: BellExpression) -> np.ndarray:
-    """Shift-weight vectors c[a, b, m] = d * coefficients[a, b, m, 0].
-
-    Raises ValueError unless every coefficient depends on the outcome
-    difference (k - l) mod d only.
-    """
-    d = expr.dimension
-    levels = np.arange(d)
-    shifts = expr.coefficients[:, :, :, 0]
-    if not np.array_equal(
-        expr.coefficients, shifts[:, :, (levels[:, None] - levels[None, :]) % d]
-    ):
-        raise ValueError(
-            f"coefficient tensor of family {expr.family!r} at d={d} is not circulant"
-        )
-    return d * shifts
-
-
 def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.ndarray]:
     """Compile a problem into its batched circulant-form value kernel.
 
@@ -192,10 +176,9 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.nda
     reduction, never a product across rows.
     """
     d = problem.dimension
-    shift_weights = _shift_weights(build_expression(problem.family, d)).ravel()
     # |A|^2 summed against c equals the squared real and imaginary parts
     # (a float view of A) summed against c repeated twice.
-    pair_weights = np.repeat(shift_weights, 2)
+    pair_weights = np.repeat(d * shift_weights(problem.family, d).ravel(), 2)
     levels = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(levels, levels) / d) / d  # [j, m]
     scale = 2.0 * math.pi / d

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudit_bell import (
+    FAMILIES,
     BellExpression,
     JointDistribution,
     build_expression,
@@ -17,6 +18,7 @@ from qudit_bell import (
     evaluate,
     evaluate_via_correlators,
     shift_interval,
+    shift_weights,
     term_weight,
 )
 from conftest import random_distribution
@@ -112,6 +114,53 @@ def test_build_expression_rejects_bad_inputs():
         build_expression("nope", 3)
     with pytest.raises(ValueError):
         build_expression("Id", 1)
+
+
+def _closure_built_coefficients(family, d):
+    """The dense tensor written term by term, cell by cell: the oracle."""
+    coeff = np.zeros((2, 2, d, d))
+    outcomes = np.arange(d)
+
+    def alice_leads(a, b, shift, weight):
+        # P(A_{a+1} = B_{b+1} + shift): Bob's outcome trails by `shift`.
+        coeff[a, b, outcomes, (outcomes - shift) % d] += weight
+
+    def bob_leads(a, b, shift, weight):
+        # P(B_{b+1} = A_{a+1} + shift): Alice's outcome trails by `shift`.
+        coeff[a, b, outcomes, (outcomes + shift) % d] += weight
+
+    if family == "I":
+        alice_leads(0, 0, 0, 1.0)
+        bob_leads(1, 0, 1, 1.0)
+        alice_leads(1, 1, 0, 1.0)
+        bob_leads(0, 1, 0, 1.0)
+    else:
+        brackets = 1 if family == "I3" else d // 2
+        for k in range(brackets):
+            w = (d - 1 - 2 * k) / (d - 1)
+            alice_leads(0, 0, k, w)
+            bob_leads(1, 0, k + 1, w)
+            alice_leads(1, 1, k, w)
+            bob_leads(0, 1, k, w)
+            alice_leads(0, 0, -k - 1, -w)
+            bob_leads(1, 0, -k, -w)
+            alice_leads(1, 1, -k - 1, -w)
+            bob_leads(0, 1, -k - 1, -w)
+    return coeff
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_expression_equals_closure_oracle_bit_for_bit(family):
+    for d in [*range(2, 65), 101, 256]:
+        expected = _closure_built_coefficients(family, d)
+        coefficients = build_expression(family, d).coefficients
+        assert np.array_equal(coefficients, expected), d
+        assert np.array_equal(np.signbit(coefficients), np.signbit(expected)), d
+        weights = shift_weights(family, d)
+        assert weights.shape == (2, 2, d)
+        assert np.array_equal(weights, coefficients[:, :, :, 0]), d
+        assert np.array_equal(np.signbit(weights), np.signbit(coefficients[:, :, :, 0])), d
+        assert not weights.flags.writeable
 
 
 def test_Id_at_d2_is_affine_in_I(rng):

@@ -2,13 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qudit_bell.optimize as optimize_module
 from qudit_bell import (
-    BellExpression,
     MeasurementPhases,
     OptimizationProblem,
     QuantumSetup,
@@ -26,7 +26,6 @@ from qudit_bell.optimize import (
     MIN_STEP,
     _initial_point,
     _setup_from_parameters,
-    _shift_weights,
     _value_kernel,
 )
 
@@ -220,11 +219,27 @@ def test_lean_value_matches_dense_born_rule():
     assert cases >= 300
 
 
-def test_shift_weights_reject_non_circulant_tensor():
-    coefficients = build_expression("Id", 3).coefficients.copy()
-    coefficients[0, 1, 2, 0] += 0.5
-    with pytest.raises(ValueError, match="not circulant"):
-        _shift_weights(BellExpression(3, "Id", coefficients))
+def test_kernel_compiles_from_shift_weights_alone(monkeypatch):
+    def no_dense_tensor(family, d):
+        raise AssertionError("the kernel built a dense coefficient tensor")
+
+    monkeypatch.setattr(optimize_module, "build_expression", no_dense_tensor)
+    for family in ("I", "I3", "Id"):
+        problem = OptimizationProblem(dimension=5, family=family)
+        values = _value_kernel(problem)(np.zeros((1, problem.parameter_count)))
+        assert values.shape == (1,)
+
+
+def test_kernel_compile_memory_at_d_1000():
+    # The d x d Fourier matrix and its temporaries take about 31 MiB; one
+    # dense (2, 2, d, d) tensor would add 32 MiB.
+    tracemalloc.start()
+    try:
+        _value_kernel(OptimizationProblem(dimension=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_maximize_raises_when_no_incumbent(monkeypatch):
