@@ -62,6 +62,9 @@ REPRODUCTION_RTOL = 5e-5
 # Two methods computing the same exact rational must agree to roundoff.
 CROSS_CHECK_ATOL = 1e-12
 
+# `optimize` flags a best value above the reference setup's by more than this.
+EXCEEDS_REFERENCE_ATOL = 1e-6
+
 # `quantum` prints one row per shift, about 60 bytes of JSON each; past this
 # dimension it exits 2 before computing anything.
 QUANTUM_MAX_DIMENSION = 2 ** 20
@@ -467,7 +470,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
             best_value=result.best_value,
             reference_value=reference,
             excess_over_reference=excess,
-            exceeds_reference=bool(excess > 1e-6),
+            exceeds_reference=bool(excess > EXCEEDS_REFERENCE_ATOL),
             improved=result.improved,
             trace_path=str(trace_path),
             best_alice_phases=[result.best_phases.alice_phase(s).tolist() for s in (0, 1)],
@@ -485,7 +488,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
             f"trace written to {trace_path}",
         ]
         # Free state weights are expected to beat the maximally entangled reference.
-        if excess > 1e-6 and not args.vary_state_weights:
+        if excess > EXCEEDS_REFERENCE_ATOL and not args.vary_state_weights:
             lines.insert(
                 1,
                 f"WARNING: search exceeded the reference value by {_fmt(excess)}; "

@@ -243,11 +243,17 @@ def build_expression(family: str, d: int) -> BellExpression:
     """The dense coefficient tensor of a built-in family.
 
     Cell (a, b, k, l) carries the shift weight of its difference class,
-    ``shift_weights(family, d)[a, b, (k - l) % d]``.
+    ``shift_weights(family, d)[a, b, (k - l) % d]``.  The tensor is built
+    here and held by nothing else, so it is handed over read-only, without
+    the copy that `BellExpression` makes of a caller's array.
     """
     outcomes = np.arange(d)
     coeff = shift_weights(family, d)[:, :, (outcomes[:, None] - outcomes[None, :]) % d]
-    return BellExpression(dimension=d, family=family, coefficients=coeff)
+    coeff.setflags(write=False)
+    expr = object.__new__(BellExpression)
+    for name, value in (("dimension", d), ("family", family), ("coefficients", coeff)):
+        object.__setattr__(expr, name, value)
+    return expr
 
 
 def _check_setting(value: int, name: str) -> None:

@@ -6,10 +6,11 @@ starts from uniform random phase angles, sweeps the coordinates in
 order, probes +/- the current step, walks greedily while a direction
 keeps improving, and halves the step after a sweep without improvement.
 Restarts are independent; the incumbent is the best value seen across
-all of them.  The level-0 phase of every setting is pinned to zero
-(global phases do not change probabilities), so a varied party
-contributes d-1 parameters per setting.  Fixed blocks stay at the
-reference construction: linear reference phases and equal state weights.
+all of them.  Every measurement phase varies: a point holds the four
+settings' phases (Alice 0, Alice 1, Bob 0, Bob 1) at levels 1..d-1, the
+level-0 phase being pinned to zero because global phases do not change
+probabilities.  With ``vary_state_weights`` the d raw Schmidt weights
+follow; otherwise the state is maximally entangled.
 
 The search evaluates through the circulant form.  Every Born-rule table
 of this setup depends on (k - l) mod d only, like the family's
@@ -49,13 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import FAMILIES, build_expression, evaluate, shift_weights
-from .quantum import (
-    REFERENCE_ALICE_SLOPES,
-    REFERENCE_BOB_SLOPES,
-    MeasurementPhases,
-    QuantumSetup,
-    born_rule_distribution,
-)
+from .quantum import MeasurementPhases, QuantumSetup, born_rule_distribution
 
 __all__ = [
     "OptimizationProblem",
@@ -86,8 +81,6 @@ class OptimizationProblem:
 
     dimension: int
     family: str = "Id"
-    vary_alice_phases: bool = True
-    vary_bob_phases: bool = True
     vary_state_weights: bool = False
     budget: int = 50_000
     restarts: int = 20
@@ -108,20 +101,15 @@ class OptimizationProblem:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.vary_alice_phases or self.vary_bob_phases or self.vary_state_weights):
-            raise ValueError("at least one parameter block must vary")
+
+    @property
+    def phase_count(self) -> int:
+        """Phases in a point: four settings of d-1 free levels each."""
+        return 4 * (self.dimension - 1)
 
     @property
     def parameter_count(self) -> int:
-        d = self.dimension
-        n = 0
-        if self.vary_alice_phases:
-            n += 2 * (d - 1)
-        if self.vary_bob_phases:
-            n += 2 * (d - 1)
-        if self.vary_state_weights:
-            n += d
-        return n
+        return self.phase_count + (self.dimension if self.vary_state_weights else 0)
 
 
 def _state_weights(d: int, raw: np.ndarray | None) -> np.ndarray:
@@ -143,24 +131,12 @@ def _state_weights(d: int, raw: np.ndarray | None) -> np.ndarray:
 
 def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> QuantumSetup:
     d = problem.dimension
-    pos = 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal pos
-        block = params[pos : pos + n]
-        pos += n
-        return block
-
-    def phase_pair() -> tuple[np.ndarray, np.ndarray]:
-        return tuple(
-            np.concatenate([[0.0], take(d - 1)]) for _ in range(2)
-        )
-
-    alice_vectors = phase_pair() if problem.vary_alice_phases else None
-    bob_vectors = phase_pair() if problem.vary_bob_phases else None
-    weights = _state_weights(d, take(d) if problem.vary_state_weights else None)
+    phase_count = problem.phase_count
+    rows = np.zeros((4, d))
+    rows[:, 1:] = params[:phase_count].reshape(4, d - 1)
+    weights = _state_weights(d, params[phase_count:] if problem.vary_state_weights else None)
     phases = MeasurementPhases(
-        dimension=d, alice_vectors=alice_vectors, bob_vectors=bob_vectors
+        dimension=d, alice_vectors=tuple(rows[:2]), bob_vectors=tuple(rows[2:])
     )
     return QuantumSetup(dimension=d, state_weights=weights, phases=phases)
 
@@ -181,21 +157,14 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.nda
     pair_weights = np.repeat(d * shift_weights(problem.family, d).ravel(), 2)
     levels = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(levels, levels) / d) / d  # [j, m]
-    scale = 2.0 * math.pi / d
-    reference_rows = np.array(
-        [scale * s * levels for s in REFERENCE_ALICE_SLOPES + REFERENCE_BOB_SLOPES]
-    )
     equal_weights = _state_weights(d, None)
-    # The varied phase rows are contiguous: Alice's, Bob's or both.
-    first = 0 if problem.vary_alice_phases else 2
-    last = 4 if problem.vary_bob_phases else 2
-    phase_count = (last - first) * (d - 1)
+    phase_count = problem.phase_count
     vary_weights = problem.vary_state_weights
 
     def values(block: np.ndarray) -> np.ndarray:
         count = len(block)
-        rows = np.repeat(reference_rows[None], count, axis=0)
-        rows[:, first:last, 1:] = block[:, :phase_count].reshape(count, last - first, d - 1)
+        rows = np.zeros((count, 4, d))
+        rows[:, :, 1:] = block[:, :phase_count].reshape(count, 4, d - 1)
         weights = (
             _state_weights(d, block[:, phase_count:])[:, None, None]
             if vary_weights
@@ -212,8 +181,9 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.nda
 def objective(problem: OptimizationProblem, parameters) -> float:
     """Expression value of the setup encoded by a flat parameter vector.
 
-    Layout: varied Alice phase vectors (levels 1..d-1 per setting), then
-    varied Bob phase vectors, then raw state weights (absolute values,
+    Layout: the phases of levels 1..d-1 for Alice's settings 0 and 1,
+    then Bob's settings 0 and 1 (level 0 is pinned to zero); then, with
+    ``vary_state_weights``, d raw state weights (absolute values,
     renormalised internally; an all-zero block means equal weights).
     """
     params = np.asarray(parameters, dtype=float)
@@ -246,11 +216,9 @@ class OptimizationResult:
 
 
 def _initial_point(problem: OptimizationProblem, rng: np.random.Generator) -> np.ndarray:
-    d = problem.dimension
-    settings = (2 if problem.vary_alice_phases else 0) + (2 if problem.vary_bob_phases else 0)
-    parts = [rng.uniform(0.0, 2.0 * np.pi, size=settings * (d - 1))]
+    parts = [rng.uniform(0.0, 2.0 * np.pi, size=problem.phase_count)]
     if problem.vary_state_weights:
-        parts.append(rng.uniform(0.1, 1.0, size=d))
+        parts.append(rng.uniform(0.1, 1.0, size=problem.dimension))
     return np.concatenate(parts)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,31 @@ def test_expression_coefficients_readonly():
     expr = build_expression("I3", 3)
     with pytest.raises(ValueError):
         expr.coefficients[0, 0, 0, 0] = 5.0
+
+
+def test_build_expression_memory_at_d_1000():
+    # The (2, 2, d, d) tensor is 30.5 MiB; a second copy of it would take
+    # the peak to about 65 MiB.
+    tracemalloc.start()
+    try:
+        build_expression("Id", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
+
+
+def test_expression_copies_a_callers_array():
+    owner = build_expression("Id", 4).coefficients.copy()
+    expected = owner.copy()
+    view = owner.view()
+    view.setflags(write=False)
+    for given in (owner, view):
+        expr = BellExpression(4, "Id", given)
+        owner[0, 0, 0, 0] += 1.0
+        assert np.array_equal(expr.coefficients, expected)
+        assert not expr.coefficients.flags.writeable
+        owner[0, 0, 0, 0] = expected[0, 0, 0, 0]
 
 
 def test_uniform_constructor_normalized():

@@ -1,6 +1,5 @@
 """Derivative-free phase search over measurement setups."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -45,18 +44,10 @@ def test_problem_validation():
         OptimizationProblem(dimension=3, budget=10, restarts=20)
     with pytest.raises(ValueError, match="seed"):
         OptimizationProblem(dimension=3, seed=-1)
-    with pytest.raises(ValueError):
-        OptimizationProblem(
-            dimension=3,
-            vary_alice_phases=False,
-            vary_bob_phases=False,
-            vary_state_weights=False,
-        )
 
 
 def test_parameter_count():
     assert OptimizationProblem(dimension=3).parameter_count == 8
-    assert OptimizationProblem(dimension=3, vary_bob_phases=False).parameter_count == 4
     assert (
         OptimizationProblem(dimension=3, vary_state_weights=True).parameter_count == 11
     )
@@ -182,9 +173,8 @@ def test_trace_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------- circulant form
 
 
-VARY_BLOCKS = [
-    flags for flags in itertools.product((False, True), repeat=3) if any(flags)
-]
+# The search space: every phase varies, with fixed or with free state weights.
+VARY_STATE_WEIGHTS = (False, True)
 
 
 def test_lean_value_matches_dense_born_rule():
@@ -193,16 +183,15 @@ def test_lean_value_matches_dense_born_rule():
     for d in range(2, 13):
         for family in ("I", "I3", "Id"):
             expr = build_expression(family, d)
-            for alice, bob, weights in VARY_BLOCKS:
+            for weights in VARY_STATE_WEIGHTS:
                 problem = OptimizationProblem(
-                    dimension=d,
-                    family=family,
-                    vary_alice_phases=alice,
-                    vary_bob_phases=bob,
-                    vary_state_weights=weights,
+                    dimension=d, family=family, vary_state_weights=weights
                 )
                 values = _value_kernel(problem)
-                samples = [rng.uniform(-2 * np.pi, 2 * np.pi, problem.parameter_count)]
+                samples = [
+                    rng.uniform(-2 * np.pi, 2 * np.pi, problem.parameter_count)
+                    for _ in range(4)
+                ]
                 if weights:
                     signed = rng.uniform(-1.0, 1.0, problem.parameter_count)
                     zeroed = rng.uniform(0.0, 2 * np.pi, problem.parameter_count)
@@ -256,14 +245,9 @@ def test_maximize_raises_when_no_incumbent(monkeypatch):
 def _problems(dimensions, **kwargs):
     for d in dimensions:
         for family in ("I", "I3", "Id"):
-            for alice, bob, weights in VARY_BLOCKS:
+            for weights in VARY_STATE_WEIGHTS:
                 yield OptimizationProblem(
-                    dimension=d,
-                    family=family,
-                    vary_alice_phases=alice,
-                    vary_bob_phases=bob,
-                    vary_state_weights=weights,
-                    **kwargs,
+                    dimension=d, family=family, vary_state_weights=weights, **kwargs
                 )
 
 
@@ -281,7 +265,7 @@ def test_kernel_rows_are_independent_of_the_block():
             assert values(row[None])[0] == value
         assert np.array_equal(values(block[::-1]), batched[::-1])
         cases += 1
-    assert cases == 11 * 3 * 7
+    assert cases == 11 * 3 * 2
 
 
 def _sequential_search(problem):
