@@ -30,7 +30,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expressions import FAMILIES, SCHEMA_VERSION, build_expression
+from .expressions import (
+    FAMILIES,
+    SCHEMA_VERSION,
+    CrossCheckError,
+    _check_dimension,
+    build_expression,
+)
 from .local_models import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -72,10 +78,6 @@ QUANTUM_MAX_DIMENSION = 2 ** 20
 
 class UsageError(ValueError):
     """Invalid argument values (exit code 2)."""
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent computations of the same quantity disagree (exit 3)."""
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,10 @@ def _parse_dimension(text: str) -> int:
         d = int(text)
     except ValueError:
         raise UsageError(f"dimension must be an integer, got {text!r}") from None
-    if d < 2:
-        raise UsageError(f"dimension must be >= 2, got {d}")
+    try:
+        _check_dimension(d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return d
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "FAMILIES",
     "SCHEMA_VERSION",
     "BellExpression",
+    "CrossCheckError",
     "JointDistribution",
     "build_expression",
     "canonical_shift",
@@ -64,10 +65,23 @@ SCHEMA_VERSION = 1
 DISTRIBUTION_ATOL = 1e-9
 
 
-def shift_interval(d: int) -> tuple[int, int]:
-    """Inclusive canonical range for outcome differences modulo d."""
+class CrossCheckError(RuntimeError):
+    """A computed result failed an internal check, such as two routes disagreeing (exit 3)."""
+
+
+def _check_dimension(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+
+
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def shift_interval(d: int) -> tuple[int, int]:
+    """Inclusive canonical range for outcome differences modulo d."""
+    _check_dimension(d)
     return -(d // 2), (d - 1) // 2
 
 
@@ -117,8 +131,7 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _check_dimension(d)
         table = _readonly_array(self.table, (2, 2, d, d), "table")
         if float(table.min()) < -DISTRIBUTION_ATOL:
             raise ValueError(f"negative probability entry {table.min()}")
@@ -131,8 +144,7 @@ class JointDistribution:
     @classmethod
     def uniform(cls, d: int) -> "JointDistribution":
         """The fully random distribution: every cell 1/d^2."""
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _check_dimension(d)
         return cls(dimension=d, table=np.full((2, 2, d, d), 1.0 / (d * d)))
 
     def to_json_dict(self) -> dict:
@@ -172,10 +184,8 @@ class BellExpression:
 
     def __post_init__(self) -> None:
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        _check_dimension(d)
+        _check_family(self.family)
         coeff = _readonly_array(self.coefficients, (2, 2, d, d), "coefficients")
         object.__setattr__(self, "coefficients", coeff)
 
@@ -221,10 +231,8 @@ def shift_weights(family: str, d: int) -> np.ndarray:
     division by d-1 so equal-magnitude entries are bitwise equal.  The
     array is read-only.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_dimension(d)
+    _check_family(family)
 
     weights = np.zeros((2, 2, d))
     for k in range(d // 2 if family == "Id" else 1):

@@ -33,6 +33,7 @@ import numpy as np
 from .expressions import (
     BellExpression,
     JointDistribution,
+    _check_dimension,
     canonical_shift,
     shift_interval,
     term_weight,
@@ -295,8 +296,7 @@ class LocalModel:
 
     def __post_init__(self) -> None:
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _check_dimension(d)
         weights = dict(self.weights)
         if not weights:
             raise ValueError("a local model needs at least one strategy")
@@ -314,13 +314,10 @@ class LocalModel:
     def uniform(cls, d: int) -> "LocalModel":
         """Equal weight on every deterministic strategy.
 
-        Raises `EnumerationCapError` when d^4 exceeds `ENUMERATION_CAP`.
+        Raises `EnumerationCapError` through `check_enumeration_cap` when
+        d^4 exceeds `ENUMERATION_CAP`.
         """
-        if d ** 4 > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"a uniform model over {d}^4 = {d ** 4} strategies exceeds the cap "
-                f"{ENUMERATION_CAP}"
-            )
+        check_enumeration_cap(d)
         w = 1.0 / d ** 4
         weights = {
             DeterministicStrategy(a1, a2, b1, b2): w

@@ -29,13 +29,12 @@ through the dense Born-rule table and tensor contraction.
 The search runs speculatively.  From a restart's current point every
 trial up to its next accepted move is known in advance: the pending
 walk step, then the +/- probes to the end of the sweep.  The restarts
-advance in lockstep; each round evaluates a chunk of every live
-restart's pending trials in one kernel call (a few after a hit, twice
-as many after a round that missed), and each restart keeps the prefix
-up to its first hit, discarding the rest.  The restarts' moves are
-merged in restart order afterwards, so traces, evaluation indices and
-results are exactly those of running the restarts one after another,
-one trial at a time.
+advance in lockstep; each round evaluates up to ``CHUNK`` of every live
+restart's pending trials in one kernel call, and each restart keeps the
+prefix up to its first hit, discarding the rest.  The restarts' moves
+are merged in restart order afterwards, so traces, evaluation indices
+and results are exactly those of running the restarts one after
+another, one trial at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import FAMILIES, build_expression, evaluate, shift_weights
+from .expressions import (
+    CrossCheckError,
+    _check_dimension,
+    _check_family,
+    build_expression,
+    evaluate,
+    shift_weights,
+)
 from .quantum import MeasurementPhases, QuantumSetup, born_rule_distribution
 
 __all__ = [
@@ -64,9 +70,8 @@ VERIFICATION_ATOL = 1e-9
 
 INITIAL_STEP = 0.8
 MIN_STEP = 1e-8
-# Speculative trials a restart asks for in the round after a hit; the
-# number doubles after every round in which all of them missed.
-FIRST_CHUNK = 4
+# Speculative trials a restart asks for in each round.
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,8 @@ class OptimizationProblem:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        _check_dimension(self.dimension)
+        _check_family(self.family)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.restarts < 1:
@@ -241,7 +244,6 @@ class _Restart:
     position: int = 0
     moved: bool = False
     walk: int | None = None
-    chunk: int = FIRST_CHUNK
     consumed: int = 1
     moves: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
 
@@ -253,10 +255,10 @@ class _Restart:
         """Probes of the trials up to the next possible move.
 
         Every trial up to the next hit is known in advance: the walk step,
-        then the probes to the end of the sweep.  At most ``chunk`` of them
+        then the probes to the end of the sweep.  At most ``CHUNK`` of them
         are returned, and never more than the remaining budget.
         """
-        limit = min(self.chunk, self.remaining)
+        limit = min(CHUNK, self.remaining)
         probes = list(range(self.position, min(sweep, self.position + limit)))
         if self.walk is not None:
             probes = [self.walk, *probes][:limit]
@@ -282,11 +284,9 @@ class _Restart:
             self.moved = True
             self.walk = probes[hit]
             self.position = (self.walk | 1) + 1
-            self.chunk = FIRST_CHUNK
             return
         self.position += used - (self.walk is not None)
         self.walk = None
-        self.chunk *= 2
         if self.position == sweep:
             if not self.moved:
                 self.step *= 0.5
@@ -299,11 +299,12 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
 
     Identical problems produce identical traces and results, equal bit
     for bit to running the restarts one after the other, one trial at a
-    time.  The restarts advance in lockstep: each round evaluates every
-    live restart's pending trials in one kernel call.  The final best
+    time.  The restarts advance in lockstep: each round evaluates up to
+    ``CHUNK`` pending trials of every live restart in one kernel call.  The final best
     value is re-verified from the result's own phases and weights through
-    the dense Born-rule table and tensor contraction, and a disagreement
-    beyond 1e-9 raises RuntimeError.
+    the dense Born-rule table and tensor contraction.  A disagreement
+    beyond 1e-9, or a search in which every value was NaN or -inf, raises
+    `CrossCheckError`.
     """
     values_of = _value_kernel(problem)
     sweep = 2 * problem.parameter_count
@@ -349,14 +350,16 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
     initial_value = restarts[0].moves[0][1]
 
     if best_params is None:
-        raise RuntimeError("search recorded no incumbent: every objective value was NaN or -inf")
+        raise CrossCheckError(
+            "search recorded no incumbent: every objective value was NaN or -inf"
+        )
     setup = _setup_from_parameters(problem, best_params)
     verified = evaluate(
         build_expression(problem.family, problem.dimension),
         born_rule_distribution(setup),
     )
     if abs(verified - best_value) > VERIFICATION_ATOL:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"re-verification mismatch: search reported {best_value}, "
             f"recomputation gives {verified}"
         )

@@ -31,7 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expressions import FAMILIES, JointDistribution, correlator, shift_interval
+from .expressions import (
+    CrossCheckError,
+    JointDistribution,
+    _check_dimension,
+    _check_family,
+    correlator,
+    shift_interval,
+)
 
 __all__ = [
     "REFERENCE_ALICE_SLOPES",
@@ -99,8 +106,7 @@ class MeasurementPhases:
 
     def __post_init__(self) -> None:
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _check_dimension(d)
         for name in ("alice_slopes", "bob_slopes"):
             slopes = getattr(self, name)
             if len(slopes) != 2:
@@ -142,8 +148,7 @@ class QuantumSetup:
 
     def __post_init__(self) -> None:
         d = self.dimension
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        _check_dimension(d)
         weights = np.array(self.state_weights, dtype=complex)
         if weights.shape != (d,):
             raise ValueError(f"state_weights must have length {d}, got {weights.shape}")
@@ -208,8 +213,7 @@ def closed_form_distribution(d: int) -> JointDistribution:
     Cell (a, b, k, l) holds 1 / (2 d^3 sin^2[pi (m + alpha_a + beta_b) / d])
     with m = (k - l) mod d and the reference slopes alpha, beta.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dimension(d)
     levels = np.arange(d)
     class_index = (levels[:, None] - levels[None, :]) % d
     table = np.empty((2, 2, d, d))
@@ -293,8 +297,7 @@ def quantum_value(d: int) -> float:
     k = 0 .. floor(d/2)-1, which the tests pin against the direct
     tensor-contraction route.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dimension(d)
     k = np.arange(d // 2)
     weights = (d - 1 - 2 * k) / (d - 1)
     gaps = _correlator_values(k, d) - _correlator_values(-(k + 1), d)
@@ -302,10 +305,10 @@ def quantum_value(d: int) -> float:
 
 
 def quantum_value_I(d: int) -> float:
-    """I-family value of the reference setup: 4 * q_0, always above 3."""
+    """I-family value of the reference setup: 4 * q_0; `CrossCheckError` unless above 3."""
     value = 4.0 * quantum_correlator(0, d)
     if not value > 3.0:
-        raise RuntimeError(f"reference I value {value} at d={d} fell to 3 or below")
+        raise CrossCheckError(f"reference I value {value} at d={d} fell to 3 or below")
     return value
 
 
@@ -337,13 +340,12 @@ def family_profile(family: str, d: int) -> tuple[float, float, float]:
     p * state + (1 - p) * noise has value p * v + (1 - p) * u and
     violates the bound for p above (b - u) / (v - u).
     """
+    _check_family(family)
     if family == "I":
         return quantum_value_I(d), 3.0, 4.0 / d
     if family == "I3":
         return quantum_value_I3(d), 2.0, 0.0
-    if family == "Id":
-        return quantum_value(d), 2.0, 0.0
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return quantum_value(d), 2.0, 0.0
 
 
 @lru_cache(maxsize=None)

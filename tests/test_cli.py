@@ -49,6 +49,9 @@ def test_bad_dimension_values(capsys):
         code, _, err = run(capsys, "bound", "-d", bad)
         assert code == 2
         assert "dimension" in err
+    for small in ("1", "0", "-3"):
+        code, _, err = run(capsys, "quantum", "-d", small)
+        assert (code, err) == (2, f"error: dimension must be >= 2, got {small}\n")
 
 
 def test_bad_range(capsys):
@@ -507,6 +510,34 @@ def test_optimize_default_trace_respects_env_dir(capsys, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["trace_path"] == str(out_dir / "optimize_trace_Id_d2.csv")
     assert (out_dir / "optimize_trace_Id_d2.csv").exists()
+
+
+def assert_one_cross_check_line(err):
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cross-check failure: ")
+
+
+def test_optimize_replay_mismatch_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("qudit_bell.optimize.evaluate", lambda expr, dist: 0.0)
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(
+        capsys, "optimize", "-d", "2", "--budget", "40", "--restarts", "2",
+        "--trace-out", str(trace),
+    )
+    assert code == 3
+    assert out == ""
+    assert_one_cross_check_line(err)
+    assert "re-verification mismatch" in err
+
+
+def test_quantum_I_value_guard_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("qudit_bell.quantum.quantum_correlator", lambda c, d: 0.5)
+    code, out, err = run(capsys, "quantum", "-d", "5")
+    assert code == 3
+    assert out == ""
+    assert_one_cross_check_line(err)
+    assert "fell to 3 or below" in err
 
 
 def test_optimize_validates_budget(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_shift_interval_values():
 
 
 def test_shift_interval_rejects_small_d():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
         shift_interval(1)
 
 
@@ -111,10 +112,20 @@ def test_Id_d3_equals_I3():
 
 
 def test_build_expression_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    unknown = re.escape("unknown family 'nope'; expected one of ('I', 'I3', 'Id')")
+    small = "^dimension must be >= 2, got 1$"
+    with pytest.raises(ValueError, match=unknown):
         build_expression("nope", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=small):
         build_expression("Id", 1)
+    with pytest.raises(ValueError, match=unknown):
+        shift_weights("nope", 3)
+    with pytest.raises(ValueError, match=small):
+        shift_weights("Id", 1)
+    with pytest.raises(ValueError, match=unknown):
+        BellExpression(3, "nope", np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ValueError, match=small):
+        BellExpression(1, "Id", np.zeros((2, 2, 1, 1)))
 
 
 def _closure_built_coefficients(family, d):
@@ -242,8 +253,10 @@ def test_correlator_rejects_bad_setting(rng):
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
         JointDistribution(1, np.zeros((2, 2, 1, 1)))
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        JointDistribution.uniform(1)
     with pytest.raises(ValueError):
         JointDistribution(3, np.zeros((2, 2, 3, 3)))  # pairs sum to 0, not 1
     table = np.full((2, 2, 2, 2), 0.25)

@@ -376,6 +376,8 @@ def test_case_analysis_at_d_1000_in_bounded_memory():
 
 def test_local_model_validation():
     s = DeterministicStrategy(0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        LocalModel(1, {s: 1.0})
     with pytest.raises(ValueError):
         LocalModel(3, {s: -0.5, DeterministicStrategy(1, 1, 1, 1): 1.5})
     with pytest.raises(ValueError):
@@ -395,8 +397,11 @@ def test_uniform_model_matches_uniform_marginals():
 
 
 def test_uniform_model_is_capped():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as uniform:
         LocalModel.uniform(57)
+    with pytest.raises(EnumerationCapError) as direct:
+        check_enumeration_cap(57)
+    assert str(uniform.value) == str(direct.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,9 +30,9 @@ from qudit_bell.optimize import (
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
         OptimizationProblem(dimension=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown family 'nope'; expected one of "):
         OptimizationProblem(dimension=3, family="nope")
     with pytest.raises(ValueError):
         OptimizationProblem(dimension=3, budget=0)

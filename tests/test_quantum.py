@@ -69,6 +69,8 @@ def test_explicit_phase_vectors_override_slopes():
 
 
 def test_phase_vector_validation():
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        MeasurementPhases(1)
     with pytest.raises(ValueError):
         MeasurementPhases(3, (0.0, 0.5), (0.25, -0.25), alice_vectors=(np.zeros(2), np.zeros(3)))
     with pytest.raises(ValueError):
@@ -78,6 +80,8 @@ def test_phase_vector_validation():
 
 
 def test_setup_validation():
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        QuantumSetup(1, np.ones(1), MeasurementPhases.reference(2))
     with pytest.raises(ValueError):
         QuantumSetup(3, np.array([1.0, 1.0, 1.0]), MeasurementPhases.reference(3))
     with pytest.raises(ValueError):
@@ -206,6 +210,10 @@ def test_quantum_correlators_equal_the_scalar_formula_bit_for_bit():
 def test_quantum_correlators_reject_small_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         quantum_correlators(1)
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        closed_form_distribution(1)
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        quantum_value(1)
 
 
 @given(st.integers(min_value=2, max_value=40))
@@ -296,7 +304,7 @@ def test_family_profile_is_bit_identical_to_the_family_values():
         assert (bound - uniform) / (value - uniform) == noise_threshold(d)
         for p in (0.0, 0.3, noise_threshold(d), 0.9, 1.0):
             assert p * value + (1.0 - p) * uniform == noisy_value(d, NoiseModel(p))
-    with pytest.raises(ValueError, match="unknown family"):
+    with pytest.raises(ValueError, match="^unknown family 'I4'; expected one of "):
         family_profile("I4", 3)
 
 
