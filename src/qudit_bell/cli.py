@@ -6,13 +6,16 @@ robustness and violation verdicts), ``sweep`` (per-dimension table),
 ``optimize`` (phase search), and ``reproduce`` (reference constants
 recomputed and checked).
 
-Reports print as aligned text by default; ``--format json`` and
-``--format csv`` emit machine-readable versions whose floats
-round-trip at full precision.  ``QUDIT_BELL_OUTPUT_DIR`` names the
-default directory for files the CLI creates on its own (currently the
-optimizer trace).  ``quantum -d`` accepts d up to
-``QUANTUM_MAX_DIMENSION``.  Exit codes: 0 success, 2 usage or validation
-error or an unwritable output file, 3 internal cross-check failure.
+The module parses arguments, maps exceptions to exit codes and renders;
+the library computes and cross-checks every number it prints.  Reports
+print as aligned text by default; ``--format json`` and ``--format csv``
+emit machine-readable versions whose floats round-trip at full
+precision.  ``QUDIT_BELL_OUTPUT_DIR`` names the default directory for
+files the CLI creates on its own (currently the optimizer trace).
+``quantum -d`` accepts d up to ``QUANTUM_MAX_DIMENSION``, and ``bound``
+and ``sweep`` up to ``BOUND_MAX_DIMENSION``.  Exit codes: 0 success, 2
+usage or validation error or an unwritable output file, 3 internal
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -30,28 +33,16 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expressions import (
-    FAMILIES,
-    SCHEMA_VERSION,
-    CrossCheckError,
-    _check_dimension,
-    build_expression,
-)
-from .local_models import (
-    ENUMERATION_CAP,
-    EnumerationCapError,
-    check_enumeration_cap,
-    local_bound_bruteforce,
-    local_bound_cases,
-)
+from .expressions import FAMILIES, SCHEMA_VERSION, CrossCheckError, _check_dimension
+from .local_models import ENUMERATION_CAP, EnumerationCapError, local_bounds
 from .optimize import OptimizationProblem, maximize, write_trace_csv
 from .quantum import (
-    asymptotic_value,
+    REPRODUCTION_RTOL,
     family_profile,
-    noise_threshold,
     quantum_correlators,
     quantum_value,
     quantum_value_I,
+    reproduction_table,
 )
 
 __all__ = ["main"]
@@ -62,18 +53,17 @@ EXIT_CROSS_CHECK = 3
 
 OUTPUT_DIR_ENV = "QUDIT_BELL_OUTPUT_DIR"
 
-# Reference decimals are checked at this relative tolerance.
-REPRODUCTION_RTOL = 5e-5
-
-# Two methods computing the same exact rational must agree to roundoff.
-CROSS_CHECK_ATOL = 1e-12
-
 # `optimize` flags a best value above the reference setup's by more than this.
 EXCEEDS_REFERENCE_ATOL = 1e-6
 
 # `quantum` prints one row per shift, about 60 bytes of JSON each; past this
 # dimension it exits 2 before computing anything.
 QUANTUM_MAX_DIMENSION = 2 ** 20
+
+# The case analysis behind `bound` and `sweep` peaks at about 28 bytes times
+# d^2 (240 MiB at d = 3000), about 450 MiB at this cap; past it they exit 2
+# before computing anything.
+BOUND_MAX_DIMENSION = 4096
 
 
 class UsageError(ValueError):
@@ -194,6 +184,11 @@ def _parse_dimension(text: str) -> int:
     return d
 
 
+def _check_max_dimension(d: int, cap: int, reason: str) -> None:
+    if d > cap:
+        raise UsageError(f"{reason}; d = {d} exceeds the cap {cap}")
+
+
 def _parse_dimension_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
@@ -264,43 +259,18 @@ def _base_payload(command: str, **extra) -> dict:
     return payload
 
 
-def _local_bounds(family: str, d: int, cap: int) -> tuple[tuple | None, tuple | None]:
-    """The brute-force and case-analysis results that apply, cross-checked.
-
-    The brute force runs when `check_enumeration_cap` passes; past the cap
-    a family without a case analysis (only ``Id`` has one) is a usage
-    error.  Either result is None when its route did not run.  Raises
-    `CrossCheckError` when both routes ran and disagree.
-    """
-    brute = None
-    try:
-        check_enumeration_cap(d, cap)
-    except EnumerationCapError as exc:
-        if family != "Id":
-            raise UsageError(str(exc)) from exc
-    else:
-        brute = local_bound_bruteforce(build_expression(family, d), cap=cap)
-    if family != "Id":
-        return brute, None
-    cases = local_bound_cases(d)
-    if brute is not None and abs(brute[0] - cases[0]) > CROSS_CHECK_ATOL:
-        raise CrossCheckError(
-            f"brute-force bound {brute[0]!r} disagrees with "
-            f"case analysis {cases[0]!r} at d={d}"
-        )
-    return brute, cases
-
-
 def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
+    _check_max_dimension(d, BOUND_MAX_DIMENSION, "bound's case analysis takes O(d^2) memory")
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
-    brute, cases = _local_bounds(family, d, args.cap)
+    try:
+        bound, brute, cases = local_bounds(family, d, args.cap)
+    except EnumerationCapError as exc:
+        raise UsageError(str(exc)) from exc
     brute_value, maximizer_count = (brute[0], len(brute[1])) if brute else (None, None)
     cases_value, attainable = (cases[0], sorted(cases[1], reverse=True)) if cases else (None, None)
-
-    bound = cases_value if cases_value is not None else brute_value
 
     def payload() -> dict:
         return _base_payload(
@@ -344,10 +314,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_quantum(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
-    if d > QUANTUM_MAX_DIMENSION:
-        raise UsageError(
-            f"quantum prints one row per shift; d = {d} exceeds the cap {QUANTUM_MAX_DIMENSION}"
-        )
+    _check_max_dimension(d, QUANTUM_MAX_DIMENSION, "quantum prints one row per shift")
     value_id = quantum_value(d)
     value_i = quantum_value_I(d)
     correlators = quantum_correlators(d)
@@ -378,12 +345,9 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[Report, int]:
 def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
     family = args.family
-    value, bound, uniform_value = family_profile(family, d)
-    if value <= bound:
-        raise CrossCheckError(
-            f"reference setup does not violate family {family} at d={d}"
-        )
-    threshold = (bound - uniform_value) / (value - uniform_value)
+    profile = family_profile(family, d)
+    value, bound, _ = profile
+    threshold = profile.noise_threshold
     summary = [
         ("family", family),
         ("dimension", d),
@@ -395,7 +359,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     if p is not None:
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"--noise-p must lie in [0, 1], got {p}")
-        noisy = p * value + (1.0 - p) * uniform_value
+        noisy = profile.noisy_value(p)
         verdict = "violated" if noisy > bound else "not violated"
         summary += [("noise_p", p), ("noisy_value", noisy), ("verdict", verdict)]
 
@@ -421,10 +385,12 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     lo, hi = _parse_dimension_range(args.dimension)
     if args.family != "Id":
         raise UsageError("sweep reports the Id family; other families are not supported")
+    _check_max_dimension(hi, BOUND_MAX_DIMENSION, "sweep's case analysis takes O(d^2) memory")
     rows = []
     for d in range(lo, hi + 1):
-        _, (bound, _) = _local_bounds("Id", d, ENUMERATION_CAP)
-        rows.append((d, bound, quantum_value(d), noise_threshold(d)))
+        bound = local_bounds("Id", d).bound
+        profile = family_profile("Id", d)
+        rows.append((d, bound, profile.quantum_value, profile.noise_threshold))
     header = ("d", "local_bound", "quantum_value", "noise_threshold")
 
     def human() -> list[str]:
@@ -515,23 +481,8 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
     return Report(payload, human, csv_rows), EXIT_OK
 
 
-def _reproduction_rows() -> list[tuple[str, float, float]]:
-    return [
-        ("I3_quantum_value", 2.87293, quantum_value(3)),
-        ("I4_quantum_value", 2.89624, quantum_value(4)),
-        ("noise_threshold_d3", 0.69615, noise_threshold(3)),
-        ("noise_threshold_d4", 0.69055, noise_threshold(4)),
-        ("Id_quantum_value_limit", 2.96981, asymptotic_value()),
-        ("noise_threshold_limit", 0.67344, 2.0 / asymptotic_value()),
-    ]
-
-
 def cmd_reproduce(args: argparse.Namespace) -> tuple[Report, int]:
-    rows = []
-    for name, reference, computed in _reproduction_rows():
-        relative = abs(computed - reference) / abs(reference)
-        status = "PASS" if relative <= REPRODUCTION_RTOL else "FAIL"
-        rows.append((name, reference, computed, relative, status))
+    rows = reproduction_table()
     all_pass = all(row[-1] == "PASS" for row in rows)
     header = ("name", "reference", "computed", "relative_error", "status")
 

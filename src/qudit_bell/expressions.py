@@ -34,7 +34,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,27 +146,6 @@ class JointDistribution:
         _check_dimension(d)
         return cls(dimension=d, table=np.full((2, 2, d, d), 1.0 / (d * d)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "joint_distribution",
-            "dimension": self.dimension,
-            "table": self.table.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "JointDistribution":
-        if payload.get("kind") != "joint_distribution":
-            raise ValueError(f"not a joint_distribution payload: {payload.get('kind')!r}")
-        return cls(dimension=int(payload["dimension"]), table=payload["table"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointDistribution":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True, eq=False)
 class BellExpression:
@@ -188,32 +166,6 @@ class BellExpression:
         _check_family(self.family)
         coeff = _readonly_array(self.coefficients, (2, 2, d, d), "coefficients")
         object.__setattr__(self, "coefficients", coeff)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "bell_expression",
-            "dimension": self.dimension,
-            "family": self.family,
-            "coefficients": self.coefficients.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "BellExpression":
-        if payload.get("kind") != "bell_expression":
-            raise ValueError(f"not a bell_expression payload: {payload.get('kind')!r}")
-        return cls(
-            dimension=int(payload["dimension"]),
-            family=str(payload["family"]),
-            coefficients=payload["coefficients"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "BellExpression":
-        return cls.from_json_dict(json.loads(text))
 
 
 def shift_weights(family: str, d: int) -> np.ndarray:

@@ -18,22 +18,24 @@ enters through the canonical shifts realised around the measurement
 cycle, the four shifts obey one cyclic constraint, and the value is the
 sum of the four shift weights.  `local_bound_cases` computes that
 constrained maximum as a max-plus cyclic self-convolution of the integer
-weight numerators in O(d^2) time and memory; the tests cross-check it
-against the brute-force route.
+weight numerators in O(d^2) time and memory; `local_bounds` runs both
+routes and cross-checks them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .expressions import (
     BellExpression,
+    CrossCheckError,
     JointDistribution,
-    _check_dimension,
+    _check_family,
+    build_expression,
     canonical_shift,
     shift_interval,
     term_weight,
@@ -43,21 +45,22 @@ __all__ = [
     "ENUMERATION_CAP",
     "DeterministicStrategy",
     "EnumerationCapError",
-    "LocalModel",
+    "LocalBounds",
     "StrategyArray",
     "StrategyDifferences",
     "check_enumeration_cap",
     "differences_of",
     "local_bound_bruteforce",
     "local_bound_cases",
-    "model_value",
+    "local_bounds",
     "point_mass_distribution",
     "strategy_value",
 ]
 
 ENUMERATION_CAP = 10_000_000
 
-WEIGHT_ATOL = 1e-12
+# Two routes computing the same exact rational must agree to roundoff.
+CROSS_CHECK_ATOL = 1e-12
 
 # Outer-sum cells the brute force materialises at once when listing maximizers.
 _CHUNK_CELLS = 1 << 20
@@ -173,8 +176,8 @@ def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> flo
 def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
     """Raise `EnumerationCapError` when the d^4 strategies exceed ``cap``.
 
-    `local_bound_bruteforce` raises through it; callers can run it first
-    to learn whether the brute force will run before building its input.
+    `local_bound_bruteforce` raises through it; `local_bounds` runs it
+    first, so past the cap it builds no coefficient tensor.
     """
     total = d ** 4
     if total > cap:
@@ -287,72 +290,43 @@ def local_bound_cases(d: int) -> tuple[float, set[float]]:
     return int(unique[-1]) / (d - 1), attainable
 
 
-@dataclass(frozen=True, eq=False)
-class LocalModel:
-    """Probability mixture of deterministic strategies."""
+class LocalBounds(NamedTuple):
+    """A family's local bound at one d, with the result of each route that ran.
 
-    dimension: int
-    weights: Mapping[DeterministicStrategy, float]
+    ``bruteforce`` is `local_bound_bruteforce`'s (max, maximizers), None
+    past the enumeration cap; ``cases`` is `local_bound_cases`' (max,
+    attainable values), None for every family but ``Id``.
+    """
 
-    def __post_init__(self) -> None:
-        d = self.dimension
-        _check_dimension(d)
-        weights = dict(self.weights)
-        if not weights:
-            raise ValueError("a local model needs at least one strategy")
-        total = 0.0
-        for strategy, w in weights.items():
-            _check_strategy(strategy, d)
-            if w < -WEIGHT_ATOL:
-                raise ValueError(f"negative strategy weight {w} for {strategy}")
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"strategy weights sum to {total}, expected 1")
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def uniform(cls, d: int) -> "LocalModel":
-        """Equal weight on every deterministic strategy.
-
-        Raises `EnumerationCapError` through `check_enumeration_cap` when
-        d^4 exceeds `ENUMERATION_CAP`.
-        """
-        check_enumeration_cap(d)
-        w = 1.0 / d ** 4
-        weights = {
-            DeterministicStrategy(a1, a2, b1, b2): w
-            for a1 in range(d)
-            for a2 in range(d)
-            for b1 in range(d)
-            for b2 in range(d)
-        }
-        return cls(dimension=d, weights=weights)
-
-    def to_distribution(self) -> JointDistribution:
-        """The joint distribution induced by the mixture."""
-        d = self.dimension
-        table = np.zeros((2, 2, d, d))
-        for s, w in self.weights.items():
-            table[0, 0, s.a1, s.b1] += w
-            table[0, 1, s.a1, s.b2] += w
-            table[1, 0, s.a2, s.b1] += w
-            table[1, 1, s.a2, s.b2] += w
-        return JointDistribution(dimension=d, table=table)
+    bound: float
+    bruteforce: tuple[float, StrategyArray] | None
+    cases: tuple[float, set[float]] | None
 
 
-def model_value(expr: BellExpression, model: LocalModel) -> float:
-    """Expression value of a local model (mixture of strategy values)."""
-    if expr.dimension != model.dimension:
-        raise ValueError(
-            f"dimension mismatch: expression d={expr.dimension}, model d={model.dimension}"
+def local_bounds(family: str, d: int, cap: int = ENUMERATION_CAP) -> LocalBounds:
+    """The local bound of a family by every route that applies, cross-checked.
+
+    Builds the coefficient tensor and runs the brute force only when
+    `check_enumeration_cap` passes; past the cap the `EnumerationCapError`
+    propagates for every family but ``Id``, whose case analysis runs at
+    every d.  Raises `CrossCheckError` when both routes ran and their
+    maxima differ by more than `CROSS_CHECK_ATOL`.
+    """
+    _check_family(family)
+    brute = None
+    try:
+        check_enumeration_cap(d, cap)
+    except EnumerationCapError:
+        if family != "Id":
+            raise
+    else:
+        brute = local_bound_bruteforce(build_expression(family, d), cap=cap)
+    if family != "Id":
+        return LocalBounds(brute[0], brute, None)
+    cases = local_bound_cases(d)
+    if brute is not None and abs(brute[0] - cases[0]) > CROSS_CHECK_ATOL:
+        raise CrossCheckError(
+            f"brute-force bound {brute[0]!r} disagrees with "
+            f"case analysis {cases[0]!r} at d={d}"
         )
-    t = expr.coefficients
-    total = 0.0
-    for s, w in model.weights.items():
-        total += w * (
-            t[0, 0, s.a1, s.b1]
-            + t[0, 1, s.a1, s.b2]
-            + t[1, 0, s.a2, s.b1]
-            + t[1, 1, s.a2, s.b2]
-        )
-    return float(total)
+    return LocalBounds(cases[0], brute, cases)

@@ -18,9 +18,10 @@ whose difference-class correlators q_c = P(A1 = B1 + c) equal
 1 / (2 d^2 sin^2[pi (c + 1/4) / d]) and obey the strict ordering
 q_0 > q_{-1} > q_1 > q_{-2} > ...  The I, I3 and Id values, their noise
 thresholds, and the large-d limit 32 * G / pi^2 (G = Catalan's constant)
-all follow from these correlators; `family_profile` gathers each
+all follow from these correlators.  `family_profile` gathers each
 family's value, local bound and white-noise value without building a
-(2, 2, d, d) table.
+(2, 2, d, d) table, and derives the noise threshold and the noisy value
+from them; `reproduction_table` checks the paper's reference decimals.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,38 +38,38 @@ from .expressions import (
     JointDistribution,
     _check_dimension,
     _check_family,
-    correlator,
     shift_interval,
 )
 
 __all__ = [
     "REFERENCE_ALICE_SLOPES",
     "REFERENCE_BOB_SLOPES",
+    "REPRODUCTION_RTOL",
+    "FamilyProfile",
     "MeasurementPhases",
-    "NoiseModel",
     "QuantumSetup",
     "asymptotic_value",
     "born_rule_distribution",
     "catalan_constant",
     "closed_form_distribution",
     "family_profile",
-    "mixed_distribution",
     "noise_threshold",
-    "noisy_value",
     "ordered_shifts",
     "quantum_correlator",
     "quantum_correlators",
     "quantum_value",
     "quantum_value_I",
     "quantum_value_I3",
-    "symmetry_check",
+    "reproduction_table",
 ]
 
 REFERENCE_ALICE_SLOPES = (0.0, 0.5)
 REFERENCE_BOB_SLOPES = (0.25, -0.25)
 
 STATE_NORM_ATOL = 1e-12
-SYMMETRY_ATOL = 1e-10
+
+# Reference decimals are checked at this relative tolerance.
+REPRODUCTION_RTOL = 5e-5
 
 
 def _phase_vectors(vectors, d: int, name: str):
@@ -172,17 +174,6 @@ class QuantumSetup:
         )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Isotropic admixture: weight p on the entangled state, 1-p on white noise."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise weight p must lie in [0, 1], got {self.p}")
-
-
 def born_rule_distribution(setup: QuantumSetup) -> JointDistribution:
     """Joint outcome probabilities of a setup, from the Born rule.
 
@@ -271,25 +262,6 @@ def ordered_shifts(d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def symmetry_check(dist: JointDistribution, atol: float = SYMMETRY_ATOL) -> bool:
-    """True when the four correlator chains coincide at every shift.
-
-    Checks P(A1 = B1 + c) = P(B1 = A2 + c + 1) = P(A2 = B2 + c)
-    = P(B2 = A1 + c) for every canonical shift c.
-    """
-    lo, hi = shift_interval(dist.dimension)
-    for c in range(lo, hi + 1):
-        reference = correlator(dist, 0, 0, c)
-        others = (
-            correlator(dist, 1, 0, -(c + 1)),  # P(B1 = A2 + c + 1)
-            correlator(dist, 1, 1, c),
-            correlator(dist, 0, 1, -c),        # P(B2 = A1 + c)
-        )
-        if any(abs(v - reference) > atol for v in others):
-            return False
-    return True
-
-
 def quantum_value(d: int) -> float:
     """Id-family value of the reference setup, from the correlator form.
 
@@ -318,7 +290,7 @@ def quantum_value_I3(d: int) -> float:
     I3 adds the coincidences P(A1 = B1), P(B1 = A2 + 1), P(A2 = B2),
     P(B2 = A1) and subtracts P(A1 = B1 - 1), P(B1 = A2), P(A2 = B2 - 1),
     P(B2 = A1 - 1).  On the reference setup the four correlator chains
-    that `symmetry_check` tests coincide:
+    coincide (the tests check this on the closed-form table):
     P(A1 = B1 + c) = P(B1 = A2 + c + 1) = P(A2 = B2 + c) = P(B2 = A1 + c)
     = q_c.  Each added term is the c = 0 link of one chain and each
     subtracted term the c = -1 link of the same chain, so the value is
@@ -328,24 +300,48 @@ def quantum_value_I3(d: int) -> float:
     return 4.0 * (quantum_correlator(0, d) - quantum_correlator(-1, d))
 
 
-def family_profile(family: str, d: int) -> tuple[float, float, float]:
-    """(quantum value, local bound, uniform-noise value) of a family.
+class FamilyProfile(NamedTuple):
+    """A family's reference-setup value v, local bound b and white-noise value u.
+
+    The mixture p * state + (1 - p) * white noise has value
+    p * v + (1 - p) * u, which exceeds b for p above (b - u) / (v - u).
+    """
+
+    quantum_value: float
+    local_bound: float
+    uniform_value: float
+
+    @property
+    def noise_threshold(self) -> float:
+        """Smallest entangled weight p whose mixture reaches the local bound."""
+        return (self.local_bound - self.uniform_value) / (self.quantum_value - self.uniform_value)
+
+    def noisy_value(self, p: float) -> float:
+        """Value of the mixture with weight p on the reference state."""
+        return p * self.quantum_value + (1.0 - p) * self.uniform_value
+
+
+def family_profile(family: str, d: int) -> FamilyProfile:
+    """The `FamilyProfile` of a family at dimension d.
 
     The quantum value is the reference setup's, from the correlator
     closed forms: `quantum_value_I`, `quantum_value_I3` or
     `quantum_value`.  The local bounds are 3 for I and 2 for I3 and Id.
     Under white noise every coincidence term P(X = Y + k) equals 1/d,
     so I takes the value 4/d and the signed families I3 and Id take 0.
-    With value v, bound b and uniform value u, the mixture
-    p * state + (1 - p) * noise has value p * v + (1 - p) * u and
-    violates the bound for p above (b - u) / (v - u).
+    Raises `CrossCheckError` unless the reference setup violates the
+    bound, since the noise threshold means nothing otherwise.
     """
     _check_family(family)
     if family == "I":
-        return quantum_value_I(d), 3.0, 4.0 / d
-    if family == "I3":
-        return quantum_value_I3(d), 2.0, 0.0
-    return quantum_value(d), 2.0, 0.0
+        profile = FamilyProfile(quantum_value_I(d), 3.0, 4.0 / d)
+    elif family == "I3":
+        profile = FamilyProfile(quantum_value_I3(d), 2.0, 0.0)
+    else:
+        profile = FamilyProfile(quantum_value(d), 2.0, 0.0)
+    if not profile.quantum_value > profile.local_bound:
+        raise CrossCheckError(f"reference setup does not violate family {family} at d={d}")
+    return profile
 
 
 @lru_cache(maxsize=None)
@@ -378,22 +374,28 @@ def asymptotic_value() -> float:
     return 32.0 * catalan_constant() / math.pi ** 2
 
 
-def mixed_distribution(d: int, p: float) -> JointDistribution:
-    """Closed-form table mixed with white noise: p * quantum + (1-p) uniform."""
-    noise = NoiseModel(p)  # validates the range
-    table = noise.p * closed_form_distribution(d).table + (1.0 - noise.p) / (d * d)
-    return JointDistribution(dimension=d, table=table)
-
-
-def noisy_value(d: int, noise: NoiseModel) -> float:
-    """Id-family value under isotropic noise: p * quantum_value(d).
-
-    The uniform component cancels against the Id tensor, so the value is
-    linear in p; the tests pin this against evaluating the mixed table.
-    """
-    return noise.p * quantum_value(d)
-
-
 def noise_threshold(d: int) -> float:
     """Smallest entangled weight p that still violates the local bound 2."""
-    return 2.0 / quantum_value(d)
+    return family_profile("Id", d).noise_threshold
+
+
+def reproduction_table() -> list[tuple[str, float, float, float, str]]:
+    """The paper's reference decimals, recomputed and checked.
+
+    Each row is (name, reference, computed, relative error, status); the
+    status is ``"PASS"`` when the relative error is at most
+    `REPRODUCTION_RTOL` and ``"FAIL"`` otherwise.
+    """
+    rows = []
+    for name, reference, computed in (
+        ("I3_quantum_value", 2.87293, quantum_value(3)),
+        ("I4_quantum_value", 2.89624, quantum_value(4)),
+        ("noise_threshold_d3", 0.69615, noise_threshold(3)),
+        ("noise_threshold_d4", 0.69055, noise_threshold(4)),
+        ("Id_quantum_value_limit", 2.96981, asymptotic_value()),
+        ("noise_threshold_limit", 0.67344, 2.0 / asymptotic_value()),
+    ):
+        relative = abs(computed - reference) / abs(reference)
+        status = "PASS" if relative <= REPRODUCTION_RTOL else "FAIL"
+        rows.append((name, reference, computed, relative, status))
+    return rows

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qudit_bell.cli as cli
+import qudit_bell.local_models as local_models
+import qudit_bell.quantum as quantum_module
 from qudit_bell import (
     FAMILIES,
     build_expression,
@@ -110,7 +112,7 @@ def test_bound_family_I(capsys):
 
 
 def test_bound_cross_check_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "local_bound_cases", lambda d: (2.5, {2.5}))
+    monkeypatch.setattr(local_models, "local_bound_cases", lambda d: (2.5, {2.5}))
     code, _, err = run(capsys, "bound", "-d", "3")
     assert code == 3
     assert "cross-check" in err
@@ -142,13 +144,13 @@ def test_bound_at_d_1000(capsys):
 
 def count_expression_builds(monkeypatch):
     calls = []
-    build = cli.build_expression
+    build = local_models.build_expression
 
     def counting(family, d):
         calls.append((family, d))
         return build(family, d)
 
-    monkeypatch.setattr(cli, "build_expression", counting)
+    monkeypatch.setattr(local_models, "build_expression", counting)
     return calls
 
 
@@ -200,6 +202,31 @@ def test_bound_at_the_cap_runs_both_routes(capsys, monkeypatch):
     assert payload["bruteforce_value"] == payload["case_value"] == 2.0
     assert payload["bruteforce_maximizers"] == 1_727_936
     assert calls == [("Id", 56)]
+
+
+def test_bound_and_sweep_dimension_cap(capsys, monkeypatch):
+    assert cli.BOUND_MAX_DIMENSION == 4096
+    monkeypatch.setattr(cli, "BOUND_MAX_DIMENSION", 60)
+    code, out, _ = run(capsys, "bound", "-d", "60", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["local_bound"] == 2.0
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computed past the cap")
+
+    monkeypatch.setattr(local_models, "local_bound_cases", computed)
+    monkeypatch.setattr(cli, "family_profile", computed)
+    for argv, command in (
+        (("bound", "-d", "61"), "bound"),
+        (("bound", "-d", "61", "--family", "I"), "bound"),
+        (("sweep", "-d", "2..61"), "sweep"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {command}'s case analysis takes O(d^2) memory; "
+            "d = 61 exceeds the cap 60\n"
+        )
 
 
 # ---------------------------------------------------------------- quantum
@@ -452,15 +479,17 @@ def test_sweep_csv_contract(capsys):
 
 
 def test_sweep_cross_check_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "local_bound_cases", lambda d: (1.9, {1.9}))
+    monkeypatch.setattr(local_models, "local_bound_cases", lambda d: (1.9, {1.9}))
     code, _, err = run(capsys, "sweep", "-d", "2..3")
     assert code == 3
     assert "cross-check" in err
 
 
 def test_sweep_cross_checks_up_to_the_cap(capsys, monkeypatch):
-    cases = cli.local_bound_cases
-    monkeypatch.setattr(cli, "local_bound_cases", lambda d: (1.9, {1.9}) if d == 56 else cases(d))
+    cases = local_models.local_bound_cases
+    monkeypatch.setattr(
+        local_models, "local_bound_cases", lambda d: (1.9, {1.9}) if d == 56 else cases(d)
+    )
     code, _, err = run(capsys, "sweep", "-d", "56")
     assert code == 3
     assert "d=56" in err
@@ -468,7 +497,7 @@ def test_sweep_cross_checks_up_to_the_cap(capsys, monkeypatch):
     def no_bruteforce(expr, **kwargs):
         raise AssertionError("brute force beyond the cap")
 
-    monkeypatch.setattr(cli, "local_bound_bruteforce", no_bruteforce)
+    monkeypatch.setattr(local_models, "local_bound_bruteforce", no_bruteforce)
     code, out, _ = run(capsys, "sweep", "-d", "57", "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0]["local_bound"] == 2.0
@@ -610,7 +639,7 @@ def test_reproduce_json_rows(capsys):
 
 
 def test_reproduce_detects_regression(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "quantum_value", lambda d: 2.5)
+    monkeypatch.setattr(quantum_module, "quantum_value", lambda d: 2.5)
     code, out, _ = run(capsys, "reproduce")
     assert code == 3
     assert "FAIL" in out

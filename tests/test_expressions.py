@@ -1,6 +1,5 @@
 """Coefficient tensors, distributions, and evaluation."""
 
-import json
 import math
 import re
 import tracemalloc
@@ -274,28 +273,6 @@ def test_distribution_table_is_readonly():
     dist = JointDistribution.uniform(3)
     with pytest.raises(ValueError):
         dist.table[0, 0, 0, 0] = 1.0
-
-
-def test_distribution_json_round_trip(rng):
-    dist = random_distribution(4, rng)
-    restored = JointDistribution.from_json(dist.to_json())
-    assert restored.dimension == 4
-    np.testing.assert_array_equal(restored.table, dist.table)
-
-
-def test_expression_json_round_trip():
-    expr = build_expression("Id", 5)
-    restored = BellExpression.from_json(expr.to_json())
-    assert restored.family == "Id"
-    assert restored.dimension == 5
-    np.testing.assert_array_equal(restored.coefficients, expr.coefficients)
-
-
-def test_json_kind_mismatch_rejected():
-    expr = build_expression("Id", 3)
-    payload = json.loads(expr.to_json())
-    with pytest.raises(ValueError):
-        JointDistribution.from_json_dict(payload)
 
 
 def test_expression_coefficients_readonly():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qudit_bell.local_models as local_models
 from qudit_bell import (
     BellExpression,
+    CrossCheckError,
     DeterministicStrategy,
     EnumerationCapError,
-    LocalModel,
+    JointDistribution,
     StrategyArray,
     build_expression,
     canonical_shift,
@@ -20,7 +22,7 @@ from qudit_bell import (
     evaluate,
     local_bound_bruteforce,
     local_bound_cases,
-    model_value,
+    local_bounds,
     point_mass_distribution,
     shift_interval,
     strategy_value,
@@ -371,37 +373,64 @@ def test_case_analysis_at_d_1000_in_bounded_memory():
     assert peak < 64 * 2**20
 
 
-# ---------------------------------------------------------------- mixtures
+# ---------------------------------------------------------------- local_bounds
 
 
-def test_local_model_validation():
-    s = DeterministicStrategy(0, 0, 0, 0)
-    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
-        LocalModel(1, {s: 1.0})
-    with pytest.raises(ValueError):
-        LocalModel(3, {s: -0.5, DeterministicStrategy(1, 1, 1, 1): 1.5})
-    with pytest.raises(ValueError):
-        LocalModel(3, {s: 0.7})  # does not sum to 1
-    with pytest.raises(ValueError):
-        LocalModel(3, {})
-    with pytest.raises(ValueError):
-        LocalModel(3, {DeterministicStrategy(0, 0, 0, 3): 1.0})
+def count_expression_builds(monkeypatch):
+    calls = []
+    build = local_models.build_expression
+
+    def counting(family, d):
+        calls.append((family, d))
+        return build(family, d)
+
+    monkeypatch.setattr(local_models, "build_expression", counting)
+    return calls
 
 
-def test_uniform_model_matches_uniform_marginals():
-    model = LocalModel.uniform(3)
-    assert len(model.weights) == 81
-    dist = model.to_distribution()
-    # all strategies equally likely -> outcomes uniform per setting pair
-    np.testing.assert_allclose(dist.table, 1 / 9, atol=1e-12)
+def test_local_bounds_raises_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr(local_models, "local_bound_cases", lambda d: (2.5, {2.5}))
+    with pytest.raises(CrossCheckError, match="^brute-force bound 2.0 disagrees with "
+                       "case analysis 2.5 at d=3$"):
+        local_bounds("Id", 3)
 
 
-def test_uniform_model_is_capped():
-    with pytest.raises(EnumerationCapError) as uniform:
-        LocalModel.uniform(57)
+def test_local_bounds_past_the_cap_without_a_case_analysis(monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    with pytest.raises(EnumerationCapError) as via_local_bounds:
+        local_bounds("I", 57)
     with pytest.raises(EnumerationCapError) as direct:
         check_enumeration_cap(57)
-    assert str(uniform.value) == str(direct.value)
+    assert str(via_local_bounds.value) == str(direct.value)
+    assert calls == []
+
+
+def test_local_bounds_past_the_cap_runs_the_case_analysis_only(monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    result = local_bounds("Id", 57)
+    assert result == (2.0, None, local_bound_cases(57))
+    assert calls == []
+
+
+def test_local_bounds_at_the_cap_runs_both_routes(monkeypatch):
+    # a stand-in for the d = 56 enumeration, which the CLI tests run in full
+    runs = []
+
+    def bruteforce(expr, *, cap):
+        runs.append((expr.family, expr.dimension, cap))
+        return 2.0, StrategyArray(np.empty((0, 4)))
+
+    monkeypatch.setattr(local_models, "local_bound_bruteforce", bruteforce)
+    calls = count_expression_builds(monkeypatch)
+    result = local_bounds("Id", 56)
+    assert calls == [("Id", 56)]
+    assert runs == [("Id", 56, 10_000_000)]
+    assert result.bound == 2.0
+    assert result.bruteforce[0] == 2.0
+    assert result.cases == local_bound_cases(56)
+
+
+# ---------------------------------------------------------------- mixtures
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,8 +445,10 @@ def test_random_mixture_value_below_bound(d, seed):
         for c in codes
     ]
     weights = rng.dirichlet(np.ones(len(strategies)))
-    model = LocalModel(d, dict(zip(strategies, (float(w) for w in weights))))
+    table = sum(
+        w * point_mass_distribution(s, d).table for s, w in zip(strategies, weights)
+    )
     expr = build_expression("Id", d)
-    value = model_value(expr, model)
+    value = sum(w * strategy_value(expr, s) for s, w in zip(strategies, weights))
     assert value <= 2.0 + 1e-12
-    assert value == pytest.approx(evaluate(expr, model.to_distribution()), abs=1e-12)
+    assert value == pytest.approx(evaluate(expr, JointDistribution(d, table)), abs=1e-12)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import qudit_bell.quantum as quantum_module
 from qudit_bell import (
+    CrossCheckError,
     MeasurementPhases,
-    NoiseModel,
     QuantumSetup,
     asymptotic_value,
     born_rule_distribution,
@@ -23,9 +23,7 @@ from qudit_bell import (
     evaluate_via_correlators,
     family_profile,
     local_bound_bruteforce,
-    mixed_distribution,
     noise_threshold,
-    noisy_value,
     ordered_shifts,
     point_mass_distribution,
     quantum_correlator,
@@ -33,13 +31,41 @@ from qudit_bell import (
     quantum_value,
     quantum_value_I,
     quantum_value_I3,
+    reproduction_table,
     shift_interval,
-    symmetry_check,
 )
 from qudit_bell.expressions import FAMILIES, JointDistribution
 from qudit_bell.local_models import DeterministicStrategy
 
 dims = st.integers(min_value=2, max_value=12)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def symmetry_check(dist, atol=1e-10):
+    """True when the four correlator chains coincide at every shift.
+
+    Checks P(A1 = B1 + c) = P(B1 = A2 + c + 1) = P(A2 = B2 + c)
+    = P(B2 = A1 + c) for every canonical shift c.
+    """
+    lo, hi = shift_interval(dist.dimension)
+    for c in range(lo, hi + 1):
+        reference = correlator(dist, 0, 0, c)
+        others = (
+            correlator(dist, 1, 0, -(c + 1)),  # P(B1 = A2 + c + 1)
+            correlator(dist, 1, 1, c),
+            correlator(dist, 0, 1, -c),        # P(B2 = A1 + c)
+        )
+        if any(abs(v - reference) > atol for v in others):
+            return False
+    return True
+
+
+def mixed_distribution(d, p):
+    """Closed-form table mixed with white noise: p * quantum + (1 - p) * uniform."""
+    table = p * closed_form_distribution(d).table + (1.0 - p) / (d * d)
+    return JointDistribution(dimension=d, table=table)
 
 
 # ---------------------------------------------------------------- phases
@@ -300,12 +326,22 @@ def test_family_profile_is_bit_identical_to_the_family_values():
         assert family_profile("Id", d) == (quantum_value(d), 2.0, 0.0)
         assert family_profile("I", d) == (quantum_value_I(d), 3.0, 4.0 / d)
         assert family_profile("I3", d) == (quantum_value_I3(d), 2.0, 0.0)
-        value, bound, uniform = family_profile("Id", d)
-        assert (bound - uniform) / (value - uniform) == noise_threshold(d)
-        for p in (0.0, 0.3, noise_threshold(d), 0.9, 1.0):
-            assert p * value + (1.0 - p) * uniform == noisy_value(d, NoiseModel(p))
+        for family in FAMILIES:
+            profile = family_profile(family, d)
+            value, bound, uniform = profile
+            assert profile.noise_threshold == (bound - uniform) / (value - uniform)
+            for p in (0.0, 0.3, profile.noise_threshold, 0.9, 1.0):
+                assert profile.noisy_value(p) == p * value + (1.0 - p) * uniform
     with pytest.raises(ValueError, match="^unknown family 'I4'; expected one of "):
         family_profile("I4", 3)
+
+
+def test_family_profile_raises_when_the_reference_does_not_violate(monkeypatch):
+    monkeypatch.setattr(quantum_module, "quantum_value", lambda d: 1.9)
+    with pytest.raises(CrossCheckError, match="^reference setup does not violate family Id at d=5$"):
+        family_profile("Id", 5)
+    with pytest.raises(CrossCheckError):
+        noise_threshold(5)
 
 
 def test_family_profile_bounds_and_noise_values_match_independent_routes():
@@ -342,15 +378,6 @@ def test_large_dimension_approaches_limit():
 # ---------------------------------------------------------------- noise
 
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(1.1)
-    NoiseModel(0.0)
-    NoiseModel(1.0)
-
-
 @settings(max_examples=40)
 @given(dims, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_mixed_distribution_structure(d, p):
@@ -362,9 +389,10 @@ def test_mixed_distribution_structure(d, p):
 @settings(max_examples=40)
 @given(dims, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_noisy_value_matches_mixed_evaluation(d, p):
-    # uniform noise evaluates to zero, so the value scales linearly in p
-    via_eval = evaluate(build_expression("Id", d), mixed_distribution(d, p))
-    assert noisy_value(d, NoiseModel(p)) == pytest.approx(via_eval, abs=1e-12)
+    mixed = mixed_distribution(d, p)
+    for family in FAMILIES:
+        via_eval = evaluate(build_expression(family, d), mixed)
+        assert family_profile(family, d).noisy_value(p) == pytest.approx(via_eval, abs=1e-12)
 
 
 def test_noise_threshold_values():
@@ -374,12 +402,18 @@ def test_noise_threshold_values():
     assert noise_threshold(4) == pytest.approx(0.69055, abs=5e-5)
 
 
+def test_noise_threshold_is_bit_identical_to_the_id_formula():
+    for d in [*range(2, 101), 4096, 10**6]:
+        assert noise_threshold(d) == 2.0 / quantum_value(d)
+
+
 def test_noise_threshold_is_critical_point():
     for d in (2, 3, 7, 20):
         p = noise_threshold(d)
-        assert noisy_value(d, NoiseModel(p)) == pytest.approx(2.0, abs=1e-12)
-        assert noisy_value(d, NoiseModel(min(1.0, p + 1e-6))) > 2.0
-        assert noisy_value(d, NoiseModel(p - 1e-6)) < 2.0
+        profile = family_profile("Id", d)
+        assert profile.noisy_value(p) == pytest.approx(2.0, abs=1e-12)
+        assert profile.noisy_value(min(1.0, p + 1e-6)) > 2.0
+        assert profile.noisy_value(p - 1e-6) < 2.0
 
 
 def test_noise_threshold_monotone_decreasing():
@@ -390,3 +424,19 @@ def test_noise_threshold_monotone_decreasing():
 
 def test_threshold_limit_decimal():
     assert 2 / asymptotic_value() == pytest.approx(0.67344, abs=5e-5)
+
+
+# ---------------------------------------------------------------- reproduction
+
+
+def test_reproduction_table_marks_a_regression(monkeypatch):
+    monkeypatch.setattr(quantum_module, "quantum_value", lambda d: 2.5)
+    statuses = {name: status for name, *_, status in reproduction_table()}
+    assert statuses == {
+        "I3_quantum_value": "FAIL",
+        "I4_quantum_value": "FAIL",
+        "noise_threshold_d3": "FAIL",
+        "noise_threshold_d4": "FAIL",
+        "Id_quantum_value_limit": "PASS",
+        "noise_threshold_limit": "PASS",
+    }
