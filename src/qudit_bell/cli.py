@@ -12,10 +12,10 @@ print as aligned text by default; ``--format json`` and ``--format csv``
 emit machine-readable versions whose floats round-trip at full
 precision.  ``QUDIT_BELL_OUTPUT_DIR`` names the default directory for
 files the CLI creates on its own (currently the optimizer trace).
-``quantum -d`` accepts d up to ``QUANTUM_MAX_DIMENSION``, and ``bound``
-and ``sweep`` up to ``BOUND_MAX_DIMENSION``.  Exit codes: 0 success, 2
-usage or validation error or an unwritable output file, 3 internal
-cross-check failure.
+``quantum -d`` accepts d up to ``QUANTUM_MAX_DIMENSION``, ``threshold``
+up to ``THRESHOLD_MAX_DIMENSION``, and ``bound`` and ``sweep`` up to
+``BOUND_MAX_DIMENSION``.  Exit codes: 0 success, 2 usage or validation
+error or an unwritable output file, 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ QUANTUM_MAX_DIMENSION = 2 ** 20
 # d^2 (240 MiB at d = 3000), about 450 MiB at this cap; past it they exit 2
 # before computing anything.
 BOUND_MAX_DIMENSION = 4096
+
+# `quantum_value(d)`, behind `threshold --family Id`, holds about 24 bytes
+# times d (22.9 MiB at d = 10^6), about 24 MiB at this cap; past it
+# `threshold` exits 2 for every family, before computing anything.
+THRESHOLD_MAX_DIMENSION = 2 ** 20
 
 
 class UsageError(ValueError):
@@ -269,7 +274,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
         bound, brute, cases = local_bounds(family, d, args.cap)
     except EnumerationCapError as exc:
         raise UsageError(str(exc)) from exc
-    brute_value, maximizer_count = (brute[0], len(brute[1])) if brute else (None, None)
+    brute_value, maximizer_count = brute or (None, None)
     cases_value, attainable = (cases[0], sorted(cases[1], reverse=True)) if cases else (None, None)
 
     def payload() -> dict:
@@ -344,6 +349,7 @@ def cmd_quantum(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
+    _check_max_dimension(d, THRESHOLD_MAX_DIMENSION, "threshold's Id value takes O(d) memory")
     family = args.family
     profile = family_profile(family, d)
     value, bound, _ = profile

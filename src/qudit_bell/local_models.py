@@ -10,8 +10,8 @@ be found by enumeration.
 Alice's outcomes (a1, a2) are fixed, Bob's outcomes b1 and b2 enter
 separate terms, so the maximum over the d^4 strategies is a maximum over
 d^2 pairs of two independent maxima over d: O(d^3) time and memory, never
-the d^4 value table.  Its maximizers come back as a `StrategyArray`, a
-read-only sequence backed by one (n, 4) integer array.
+the d^4 value table.  It returns the maximum and the number of
+strategies that attain it, and lists none of them.
 
 For the Id family a second, independent route exists: a strategy only
 enters through the canonical shifts realised around the measurement
@@ -24,7 +24,6 @@ routes and cross-checks them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +45,6 @@ __all__ = [
     "DeterministicStrategy",
     "EnumerationCapError",
     "LocalBounds",
-    "StrategyArray",
     "StrategyDifferences",
     "check_enumeration_cap",
     "differences_of",
@@ -62,9 +60,6 @@ ENUMERATION_CAP = 10_000_000
 # Two routes computing the same exact rational must agree to roundoff.
 CROSS_CHECK_ATOL = 1e-12
 
-# Outer-sum cells the brute force materialises at once when listing maximizers.
-_CHUNK_CELLS = 1 << 20
-
 
 class EnumerationCapError(RuntimeError):
     """Raised when a brute-force enumeration would exceed the strategy cap."""
@@ -78,39 +73,6 @@ class DeterministicStrategy:
     a2: int
     b1: int
     b2: int
-
-
-class StrategyArray(Sequence[DeterministicStrategy]):
-    """Read-only sequence of deterministic strategies stored as an (n, 4) array.
-
-    Row i holds (a1, a2, b1, b2) of strategy i.  A `DeterministicStrategy`
-    is built only when an element is indexed or iterated, so taking the
-    length of a large maximizer set costs nothing per strategy.  An int64
-    ``rows`` array is wrapped without a copy, through a read-only view.
-    Slicing gives another `StrategyArray`.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows) -> None:
-        rows = np.asarray(rows, dtype=np.int64).view()
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise ValueError(f"strategy rows must have shape (n, 4), got {rows.shape}")
-        rows.setflags(write=False)
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return StrategyArray(self._rows[index])
-        a1, a2, b1, b2 = self._rows[index].tolist()
-        return DeterministicStrategy(a1, a2, b1, b2)
-
-    def __iter__(self) -> Iterator[DeterministicStrategy]:
-        for a1, a2, b1, b2 in self._rows.tolist():
-            yield DeterministicStrategy(a1, a2, b1, b2)
 
 
 def _check_strategy(strategy: DeterministicStrategy, d: int) -> None:
@@ -188,70 +150,44 @@ def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
 
 
 def local_bound_bruteforce(
-    expr: BellExpression,
-    *,
-    cap: int = ENUMERATION_CAP,
-    tie_atol: float = 1e-9,
-) -> tuple[float, StrategyArray]:
+    expr: BellExpression, *, cap: int = ENUMERATION_CAP
+) -> tuple[float, int]:
     """Maximum of a Bell expression over all d^4 deterministic strategies.
 
-    Returns ``(max_value, maximizers)`` with the maximizers listed in
-    lexicographic (a1, a2, b1, b2) order as a `StrategyArray`;
-    strategies within ``tie_atol`` of the maximum count as maximizers.
-    Raises `EnumerationCapError` when d^4 exceeds ``cap``; use
-    `local_bound_cases` for large d.
+    Returns ``(max_value, maximizer_count)``: the maximum and the number
+    of strategies that attain it.  Raises `EnumerationCapError` when d^4
+    exceeds ``cap`` (use `local_bound_cases` for large d), and
+    `ValueError` when a coefficient is not an integer multiple of
+    1/(d-1), as every built-in family's is.
 
-    With (a1, a2) fixed, b1 only meets ``t00[a1] + t10[a2]`` and b2 only
-    ``t01[a1] + t11[a2]``, so the maximum is that of the (a1, a2) table
-    ``max_b1(left) + max_b2(right)``.  The maximizers are the (b1, b2)
-    cells of the winning pairs' d x d outer sums, taken in chunks so
-    memory stays O(d^3) plus the output.
-
-    All built-in families have coefficients that are integer multiples
-    of 1/(d-1), so per-strategy sums are carried as scaled integers and
-    the maximum is exact (a single float division at the end).  Tensors
-    without that structure fall back to float sums, where ``tie_atol``
-    also absorbs roundoff in the tie test; there the decoupled sums
-    only preselect candidates, and each candidate is re-summed in the
-    (a1, b1), (a1, b2), (a2, b1), (a2, b2) order of the full enumeration.
+    Sums are carried as exact integer numerators, so ties are exact and
+    the maximum takes a single float division.  With (a1, a2) fixed, b1
+    only meets ``t00[a1] + t10[a2]`` and b2 only ``t01[a1] + t11[a2]``,
+    so the maximum is that of the (a1, a2) table ``max_b1(left) +
+    max_b2(right)``, and the count sums (#b1 at the left maximum) x
+    (#b2 at the right maximum) over the winning pairs.  O(d^3) time and
+    memory; no strategy is listed.
     """
     d = expr.dimension
     check_enumeration_cap(d, cap)
-    t = expr.coefficients
-    scale = max(d - 1, 1)
-    scaled = t * scale
-    rounded = np.rint(scaled)
-    exact = bool(np.max(np.abs(scaled - rounded)) <= 1e-6)
-    if exact:
-        t = rounded.astype(np.int64)
+    scaled = expr.coefficients * (d - 1)
+    t = np.rint(scaled)
+    # float64 holds integers exactly only below 2**53
+    if not np.all((np.abs(scaled - t) <= 1e-6) & (np.abs(t) < 2**53)):
+        raise ValueError(
+            f"coefficients must be integer multiples of 1/(d-1) = 1/{d - 1} "
+            "for an exact enumeration"
+        )
+    t = t.astype(np.int64)
     left = t[0, 0][:, None, :] + t[1, 0][None, :, :]    # (a1, a2, b1)
     right = t[0, 1][:, None, :] + t[1, 1][None, :, :]   # (a1, a2, b2)
-    pair_best = left.max(axis=-1) + right.max(axis=-1)
-    if exact:
-        cutoff = pair_best.max()
-    else:
-        # left + right rounds differently from the four-term sum by at
-        # most a few ulps of the largest term; widen the cut by twice that
-        slack = tie_atol if tie_atol > 0 else 0.0
-        margin = 32 * np.finfo(float).eps * float(np.abs(t).max())
-        cutoff = pair_best.max() - slack - margin
-    pairs = np.argwhere(pair_best >= cutoff)
-    step = max(1, _CHUNK_CELLS // d ** 2)
-    chunks = [np.empty((0, 4), dtype=np.int64)]
-    for first in range(0, len(pairs), step):
-        a1, a2 = pairs[first:first + step].T
-        outer = left[a1, a2][:, :, None] + right[a1, a2][:, None, :]
-        k, b1, b2 = np.nonzero(outer >= cutoff)
-        chunks.append(np.stack([a1[k], a2[k], b1, b2], axis=1))
-    winners = np.concatenate(chunks)
-    if exact:
-        best = int(cutoff) / scale
-    else:
-        a1, a2, b1, b2 = winners.T
-        values = t[0, 0][a1, b1] + t[0, 1][a1, b2] + t[1, 0][a2, b1] + t[1, 1][a2, b2]
-        best = float(values.max())
-        winners = winners[values >= best - tie_atol]
-    return best, StrategyArray(winners)
+    left_best, right_best = left.max(axis=-1), right.max(axis=-1)
+    left_ties = (left == left_best[..., None]).sum(axis=-1)
+    right_ties = (right == right_best[..., None]).sum(axis=-1)
+    pair_best = left_best + right_best
+    best = pair_best.max()
+    count = (left_ties * right_ties)[pair_best == best].sum()
+    return int(best) / (d - 1), int(count)
 
 
 def local_bound_cases(d: int) -> tuple[float, set[float]]:
@@ -293,13 +229,13 @@ def local_bound_cases(d: int) -> tuple[float, set[float]]:
 class LocalBounds(NamedTuple):
     """A family's local bound at one d, with the result of each route that ran.
 
-    ``bruteforce`` is `local_bound_bruteforce`'s (max, maximizers), None
-    past the enumeration cap; ``cases`` is `local_bound_cases`' (max,
+    ``bruteforce`` is `local_bound_bruteforce`'s (max, maximizer count),
+    None past the enumeration cap; ``cases`` is `local_bound_cases`' (max,
     attainable values), None for every family but ``Id``.
     """
 
     bound: float
-    bruteforce: tuple[float, StrategyArray] | None
+    bruteforce: tuple[float, int] | None
     cases: tuple[float, set[float]] | None
 
 

@@ -460,6 +460,25 @@ def test_threshold_builds_no_dense_table(capsys, family):
     assert peak < 2 * 2**20
 
 
+def test_threshold_dimension_cap(capsys, monkeypatch):
+    assert cli.THRESHOLD_MAX_DIMENSION == 2 ** 20
+    monkeypatch.setattr(cli, "THRESHOLD_MAX_DIMENSION", 60)
+    code, out, _ = run(capsys, "threshold", "-d", "60", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == 60
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computed past the cap")
+
+    monkeypatch.setattr(cli, "family_profile", computed)
+    for family in FAMILIES:
+        code, out, err = run(capsys, "threshold", "-d", "61", "--family", family)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: threshold's Id value takes O(d) memory; d = 61 exceeds the cap 60\n"
+        )
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -476,6 +495,20 @@ def test_sweep_csv_contract(capsys):
         # repr floats round-trip exactly
         assert float(row[2]) == quantum_value(d)
         assert float(row[3]) == noise_threshold(d)
+
+
+@pytest.mark.parametrize("argv", [("bound", "-d", "56"), ("sweep", "-d", "2..56")])
+def test_bruteforce_commands_peak_memory_up_to_the_cap(capsys, argv):
+    # d = 56 is the largest brute force under the default cap: 1,727,936 maximizers
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 def test_sweep_cross_check_failure_exits_3(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from qudit_bell import (
     DeterministicStrategy,
     EnumerationCapError,
     JointDistribution,
-    StrategyArray,
     build_expression,
     canonical_shift,
     check_enumeration_cap,
@@ -38,29 +37,18 @@ dims = st.integers(min_value=2, max_value=10)
 # with either route and are the reference for bit-identical results.
 
 
-def bruteforce_oracle(expr, tie_atol=1e-9):
-    """Maximum and maximizers from the full d^4 value table."""
+def bruteforce_oracle(expr):
+    """Maximum and maximizers from the full d^4 table of scaled integer values."""
     d = expr.dimension
-    t = expr.coefficients
-    scale = max(d - 1, 1)
-    scaled = t * scale
-    rounded = np.rint(scaled)
-    if np.max(np.abs(scaled - rounded)) <= 1e-6:
-        t = rounded.astype(np.int64)
-    else:
-        scale = None
+    t = np.rint(expr.coefficients * (d - 1)).astype(np.int64)
     values = (
         t[0, 0][:, None, :, None]      # (a1, b1)
         + t[0, 1][:, None, None, :]    # (a1, b2)
         + t[1, 0][None, :, :, None]    # (a2, b1)
         + t[1, 1][None, :, None, :]    # (a2, b2)
     )
-    if scale is not None:
-        best = int(values.max()) / scale
-        winners = np.argwhere(values == values.max())
-    else:
-        best = float(values.max())
-        winners = np.argwhere(values >= best - tie_atol)
+    best = int(values.max()) / (d - 1)
+    winners = np.argwhere(values == values.max())
     maximizers = [
         DeterministicStrategy(int(a1), int(a2), int(b1), int(b2))
         for a1, a2, b1, b2 in winners
@@ -85,11 +73,11 @@ def cases_oracle(d):
     return int(unique[-1]) / (d - 1), {int(n) / (d - 1) for n in unique}
 
 
-def assert_matches_oracle(expr, **kwargs):
-    best, maximizers = local_bound_bruteforce(expr, **kwargs)
-    expected_best, expected_maximizers = bruteforce_oracle(expr, **kwargs)
-    assert type(best) is float
-    assert (best, list(maximizers)) == (expected_best, expected_maximizers)
+def assert_matches_oracle(expr):
+    best, count = local_bound_bruteforce(expr)
+    expected_best, expected_maximizers = bruteforce_oracle(expr)
+    assert type(best) is float and type(count) is int
+    assert (best, count) == (expected_best, len(expected_maximizers))
 
 
 @st.composite
@@ -172,25 +160,20 @@ def test_strategy_value_spectrum(case):
 
 def test_bruteforce_bound_family_I():
     for d in range(2, 6):
-        value, maximizers = local_bound_bruteforce(build_expression("I", d))
+        value, count = local_bound_bruteforce(build_expression("I", d))
         assert value == 3.0
-        assert maximizers  # attained
+        assert count > 0  # attained
 
 
 def test_bruteforce_bound_family_Id_exact():
     for d in range(2, 9):
-        value, maximizers = local_bound_bruteforce(build_expression("Id", d))
+        expr = build_expression("Id", d)
+        value, count = local_bound_bruteforce(expr)
         assert value == 2.0
+        _, maximizers = bruteforce_oracle(expr)
+        assert count == len(maximizers)
         for strategy in maximizers:
-            assert strategy_value(build_expression("Id", d), strategy) == pytest.approx(
-                2.0, abs=1e-12
-            )
-
-
-def test_bruteforce_maximizers_lexicographic():
-    _, maximizers = local_bound_bruteforce(build_expression("Id", 3))
-    keys = [(m.a1, m.a2, m.b1, m.b2) for m in maximizers]
-    assert keys == sorted(keys)
+            assert strategy_value(expr, strategy) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bruteforce_cap_raises_with_pointer():
@@ -220,21 +203,6 @@ def test_enumeration_cap_check_is_the_bruteforce_gate():
         check_enumeration_cap(3, cap=80)
 
 
-def test_bruteforce_float_fallback_path():
-    # irrational coefficients cannot be recognized as n/(d-1); the float
-    # path with tie_atol must still find the max
-    rng = np.random.default_rng(7)
-    coeff = rng.normal(size=(2, 2, 3, 3))
-    expr = BellExpression(3, "Id", coeff)
-    value, maximizers = local_bound_bruteforce(expr)
-    assert maximizers
-    best = max(
-        coeff[0, 0, a1, b1] + coeff[0, 1, a1, b2] + coeff[1, 0, a2, b1] + coeff[1, 1, a2, b2]
-        for a1 in range(3) for a2 in range(3) for b1 in range(3) for b2 in range(3)
-    )
-    assert value == pytest.approx(best, abs=1e-12)
-
-
 @pytest.mark.parametrize("family", ["I", "I3", "Id"])
 @pytest.mark.parametrize("d", range(2, 13))
 def test_bruteforce_matches_oracle_on_families(family, d):
@@ -252,91 +220,41 @@ def test_bruteforce_matches_oracle_on_scaled_integer_tensors():
         assert_matches_oracle(BellExpression(d, "Id", numerators / max(d - 1, 1)))
 
 
-def _planted_tie_tensor(rng, d, gap):
-    """Float tensor whose best strategy has a rival ``gap`` below it.
-
-    The two strategies differ in every outcome, so they share no
-    coefficient; their entries are near 1 and all others near 0.
-    """
-    coeff = rng.normal(scale=0.1, size=(2, 2, d, d))
-    best = rng.integers(d, size=4)
-    rival = (best + rng.integers(1, d, size=4)) % d
-    for a1, a2, b1, b2 in (best, rival):
-        coeff[0, 0, a1, b1], coeff[0, 1, a1, b2], coeff[1, 0, a2, b1], coeff[1, 1, a2, b2] = (
-            rng.normal(1, 0.01, size=4)
-        )
-    a1, a2, b1, b2 = best
-    top = coeff[0, 0, a1, b1] + coeff[0, 1, a1, b2] + coeff[1, 0, a2, b1] + coeff[1, 1, a2, b2]
-    a1, a2, b1, b2 = rival
-    partial = coeff[0, 0, a1, b1] + coeff[0, 1, a1, b2] + coeff[1, 0, a2, b1]
-    coeff[1, 1, a2, b2] = top - gap - partial
-    return coeff
+@pytest.mark.parametrize("family", ["I", "I3", "Id"])
+def test_bruteforce_counts_match_the_closed_forms_up_to_the_cap(family):
+    # I: 4d and I3: 2d(3d - 4) are fits, checked only up to the cap
+    count_of = {
+        "I": lambda d: 4 * d,
+        "I3": lambda d: 2 * d * (3 * d - 4),
+        "Id": lambda d: d * d * (d + 1) * (d + 2) // 6,
+    }[family]
+    bound = 3.0 if family == "I" else 2.0
+    for d in range(2, 57):
+        assert local_bound_bruteforce(build_expression(family, d)) == (bound, count_of(d))
 
 
-@pytest.mark.parametrize("tie_atol", [1e-9, 1e-6])
-def test_bruteforce_matches_oracle_on_planted_float_ties(tie_atol):
-    rng = np.random.default_rng(23)
-    fractions = [0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]
-    for d in range(4, 9):
-        for fraction in fractions:
-            coeff = _planted_tie_tensor(rng, d, fraction * tie_atol)
-            expr = BellExpression(d, "Id", coeff)
-            assert_matches_oracle(expr, tie_atol=tie_atol)
-    # the planted rival is a maximizer inside the tolerance and not outside it
-    inside = local_bound_bruteforce(
-        BellExpression(4, "Id", _planted_tie_tensor(np.random.default_rng(5), 4, 0.5e-9))
-    )[1]
-    outside = local_bound_bruteforce(
-        BellExpression(4, "Id", _planted_tie_tensor(np.random.default_rng(5), 4, 2e-9))
-    )[1]
-    assert (len(inside), len(outside)) == (2, 1)
-
-
-def test_bruteforce_matches_oracle_on_mixed_magnitude_floats():
-    # entries spanning six decades round differently under the decoupled
-    # sums; the reported maximum must still be the four-term float sum
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        d = int(rng.integers(2, 8))
-        coeff = rng.normal(size=(2, 2, d, d)) * 10.0 ** rng.uniform(-3, 3, size=(2, 2, d, d))
-        assert_matches_oracle(BellExpression(d, "Id", coeff))
-        assert_matches_oracle(BellExpression(d, "Id", coeff), tie_atol=0.0)
+def test_bruteforce_rejects_coefficients_off_the_integer_grid():
+    coeff = build_expression("Id", 4).coefficients.copy()
+    coeff[0, 0, 0, 0] += 0.1
+    with pytest.raises(ValueError, match="integer multiples of 1/\\(d-1\\) = 1/3"):
+        local_bound_bruteforce(BellExpression(4, "Id", coeff))
+    irrational = np.random.default_rng(7).normal(size=(2, 2, 3, 3))
+    with pytest.raises(ValueError):
+        local_bound_bruteforce(BellExpression(3, "Id", irrational))
+    with pytest.raises(ValueError):
+        local_bound_bruteforce(BellExpression(3, "Id", np.full((2, 2, 3, 3), 2.0**60)))
 
 
 def test_bruteforce_peak_memory_at_the_cap():
     expr = build_expression("Id", 56)
     tracemalloc.start()
     try:
-        value, maximizers = local_bound_bruteforce(expr)
+        result = local_bound_bruteforce(expr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == 2.0
-    assert len(maximizers) == 1_727_936
-    assert peak < 150 * 2**20
-
-
-def test_maximizers_are_an_array_backed_sequence():
-    _, maximizers = local_bound_bruteforce(build_expression("Id", 3))
-    _, expected = bruteforce_oracle(build_expression("Id", 3))
-    assert isinstance(maximizers, StrategyArray)
-    assert len(maximizers) == len(expected)
-    assert maximizers[0] == expected[0] and maximizers[-1] == expected[-1]
-    assert isinstance(maximizers[2:5], StrategyArray)
-    assert list(maximizers[2:5]) == expected[2:5]
-    with pytest.raises(TypeError):
-        maximizers[0] = expected[1]
-    with pytest.raises(IndexError):
-        maximizers[len(expected)]
-    assert expected[1] in maximizers
-
-
-def test_strategy_array_validates_shape():
-    assert len(StrategyArray(np.empty((0, 4), dtype=np.int64))) == 0
-    with pytest.raises(ValueError):
-        StrategyArray([[0, 0, 0]])
-    with pytest.raises(ValueError):
-        StrategyArray([0, 0, 0, 0])
+    assert result == (2.0, 1_727_936)
+    assert peak < 8 * 2**20
 
 
 def test_case_analysis_bound_and_spectrum():
@@ -413,20 +331,11 @@ def test_local_bounds_past_the_cap_runs_the_case_analysis_only(monkeypatch):
 
 
 def test_local_bounds_at_the_cap_runs_both_routes(monkeypatch):
-    # a stand-in for the d = 56 enumeration, which the CLI tests run in full
-    runs = []
-
-    def bruteforce(expr, *, cap):
-        runs.append((expr.family, expr.dimension, cap))
-        return 2.0, StrategyArray(np.empty((0, 4)))
-
-    monkeypatch.setattr(local_models, "local_bound_bruteforce", bruteforce)
     calls = count_expression_builds(monkeypatch)
     result = local_bounds("Id", 56)
     assert calls == [("Id", 56)]
-    assert runs == [("Id", 56, 10_000_000)]
     assert result.bound == 2.0
-    assert result.bruteforce[0] == 2.0
+    assert result.bruteforce == (2.0, 1_727_936)
     assert result.cases == local_bound_cases(56)
 
 
