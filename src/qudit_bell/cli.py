@@ -13,9 +13,11 @@ emit machine-readable versions whose floats round-trip at full
 precision.  ``QUDIT_BELL_OUTPUT_DIR`` names the default directory for
 files the CLI creates on its own (currently the optimizer trace).
 ``quantum -d`` accepts d up to ``QUANTUM_MAX_DIMENSION``, ``threshold``
-up to ``THRESHOLD_MAX_DIMENSION``, and ``bound`` and ``sweep`` up to
-``BOUND_MAX_DIMENSION``.  Exit codes: 0 success, 2 usage or validation
-error or an unwritable output file, 3 internal cross-check failure.
+up to ``THRESHOLD_MAX_DIMENSION``, ``bound`` and ``sweep`` up to
+``BOUND_MAX_DIMENSION``, and ``optimize`` up to ``OPTIMIZE_MAX_DIMENSION``
+with restarts times search parameters up to ``OPTIMIZE_MAX_SEARCH_SIZE``.
+Exit codes: 0 success, 2 usage or validation error or an unwritable
+output file, 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ BOUND_MAX_DIMENSION = 4096
 # times d (22.9 MiB at d = 10^6), about 24 MiB at this cap; past it
 # `threshold` exits 2 for every family, before computing anything.
 THRESHOLD_MAX_DIMENSION = 2 ** 20
+
+# `optimize` replays its best point through the dense Born-rule table, about
+# 141 bytes times d^2, and advances its restarts in lockstep, about 600 bytes
+# per restart and search parameter.  The two caps hold these near 141 and
+# 300 MiB, under 0.5 GiB together; past either, `optimize` exits 2 before
+# computing anything.
+OPTIMIZE_MAX_DIMENSION = 1024
+OPTIMIZE_MAX_SEARCH_SIZE = 2 ** 19
 
 
 class UsageError(ValueError):
@@ -415,6 +425,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
+    _check_max_dimension(d, OPTIMIZE_MAX_DIMENSION, "optimize's replay takes O(d^2) memory")
     try:
         problem = OptimizationProblem(
             dimension=d,
@@ -426,6 +437,13 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    size = problem.restarts * problem.parameter_count
+    if size > OPTIMIZE_MAX_SEARCH_SIZE:
+        raise UsageError(
+            "optimize's lockstep search takes O(restarts x parameters) memory; "
+            f"{problem.restarts} restarts x {problem.parameter_count} parameters = {size} "
+            f"exceeds the cap {OPTIMIZE_MAX_SEARCH_SIZE}"
+        )
     result = maximize(problem)
     reference, _, _ = family_profile(args.family, d)
     excess = result.best_value - reference

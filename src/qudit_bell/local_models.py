@@ -41,6 +41,7 @@ from .expressions import (
 )
 
 __all__ = [
+    "BRUTEFORCE_MAX_DIMENSION",
     "ENUMERATION_CAP",
     "DeterministicStrategy",
     "EnumerationCapError",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10_000_000
+
+# The brute force holds about 18 bytes times d^3 (133 MiB at d = 200), about
+# 450 MiB at this d; past it no cap admits the enumeration.
+BRUTEFORCE_MAX_DIMENSION = 300
 
 # Two routes computing the same exact rational must agree to roundoff.
 CROSS_CHECK_ATOL = 1e-12
@@ -138,14 +143,21 @@ def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> flo
 def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
     """Raise `EnumerationCapError` when the d^4 strategies exceed ``cap``.
 
+    A ``cap`` that admits a d past `BRUTEFORCE_MAX_DIMENSION` raises too,
+    since the enumeration's O(d^3) memory would not fit.
     `local_bound_bruteforce` raises through it; `local_bounds` runs it
-    first, so past the cap it builds no coefficient tensor.
+    first, so it builds no coefficient tensor that the check rejects.
     """
     total = d ** 4
     if total > cap:
         raise EnumerationCapError(
             f"enumerating {d}^4 = {total} strategies exceeds the cap {cap}; "
             "use local_bound_cases for large dimensions"
+        )
+    if d > BRUTEFORCE_MAX_DIMENSION:
+        raise EnumerationCapError(
+            f"the brute force takes O(d^3) memory; d = {d} exceeds "
+            f"{BRUTEFORCE_MAX_DIMENSION}, the largest d any cap admits"
         )
 
 
@@ -221,9 +233,13 @@ def local_bound_cases(d: int) -> tuple[float, set[float]]:
     partner = (-1 - np.arange(d)) % d
     totals = table[:, :, None] + table[partner][:, None, :]
     both = filled[:, :, None] & filled[partner][:, None, :]
-    unique = np.unique(totals[both])
-    attainable = {int(n) / (d - 1) for n in unique}
-    return int(unique[-1]) / (d - 1), attainable
+    # a presence table over the totals' range, like `seen`; np.unique would
+    # import numpy.ma on first use
+    present = np.zeros(2 * seen.shape[1] - 1, dtype=bool)
+    present[totals[both] - 2 * low] = True
+    attained = np.flatnonzero(present) + 2 * low
+    attainable = {int(n) / (d - 1) for n in attained}
+    return int(attained[-1]) / (d - 1), attainable
 
 
 class LocalBounds(NamedTuple):
@@ -242,20 +258,17 @@ class LocalBounds(NamedTuple):
 def local_bounds(family: str, d: int, cap: int = ENUMERATION_CAP) -> LocalBounds:
     """The local bound of a family by every route that applies, cross-checked.
 
-    Builds the coefficient tensor and runs the brute force only when
-    `check_enumeration_cap` passes; past the cap the `EnumerationCapError`
-    propagates for every family but ``Id``, whose case analysis runs at
-    every d.  Raises `CrossCheckError` when both routes ran and their
-    maxima differ by more than `CROSS_CHECK_ATOL`.
+    ``Id``'s case analysis runs at every d, and its brute force only
+    where d^4 is within ``cap``.  Every other brute force, and that one,
+    first runs `check_enumeration_cap`, so a tensor is built only when
+    the check passes and its `EnumerationCapError` propagates otherwise.
+    Raises `CrossCheckError` when both routes ran and their maxima differ
+    by more than `CROSS_CHECK_ATOL`.
     """
     _check_family(family)
     brute = None
-    try:
+    if family != "Id" or d ** 4 <= cap:
         check_enumeration_cap(d, cap)
-    except EnumerationCapError:
-        if family != "Id":
-            raise
-    else:
         brute = local_bound_bruteforce(build_expression(family, d), cap=cap)
     if family != "Id":
         return LocalBounds(brute[0], brute, None)

@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +230,32 @@ def test_bound_and_sweep_dimension_cap(capsys, monkeypatch):
             f"error: {command}'s case analysis takes O(d^2) memory; "
             "d = 61 exceeds the cap 60\n"
         )
+
+
+def test_bound_cap_admits_no_bruteforce_past_the_ceiling(capsys, monkeypatch):
+    calls = count_expression_builds(monkeypatch)
+    assert local_models.BRUTEFORCE_MAX_DIMENSION == 300
+    for d in ("301", "1000"):
+        code, out, err = run(capsys, "bound", "-d", d, "--cap", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the brute force takes O(d^3) memory; d = {d} exceeds 300, "
+            "the largest d any cap admits\n"
+        )
+    monkeypatch.setattr(local_models, "BRUTEFORCE_MAX_DIMENSION", 8)
+    for family in FAMILIES:
+        code, out, _ = run(capsys, "bound", "-d", "8", "--family", family,
+                           "--cap", "1000000000000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bruteforce_value"] == payload["local_bound"]
+        code, out, err = run(capsys, "bound", "-d", "9", "--family", family,
+                             "--cap", "1000000000000")
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert calls == [(family, 8) for family in FAMILIES]
 
 
 # ---------------------------------------------------------------- quantum
@@ -574,6 +603,43 @@ def test_optimize_default_trace_respects_env_dir(capsys, tmp_path, monkeypatch):
     assert (out_dir / "optimize_trace_Id_d2.csv").exists()
 
 
+def test_optimize_caps(capsys, tmp_path, monkeypatch):
+    assert cli.OPTIMIZE_MAX_DIMENSION == 1024
+    assert cli.OPTIMIZE_MAX_SEARCH_SIZE == 2 ** 19
+    trace = tmp_path / "trace.csv"
+    searched = []
+    monkeypatch.setattr(cli, "maximize", lambda problem: searched.append(problem))
+    lockstep = "error: optimize's lockstep search takes O(restarts x parameters) memory; "
+    for argv, message in (
+        (("-d", "1025"), "error: optimize's replay takes O(d^2) memory; "
+                         "d = 1025 exceeds the cap 1024"),
+        (("-d", "1024", "--restarts", "129"),
+         lockstep + "129 restarts x 4092 parameters = 527868 exceeds the cap 524288"),
+        (("-d", "2", "--restarts", "131073", "--budget", "131073"),
+         lockstep + "131073 restarts x 4 parameters = 524292 exceeds the cap 524288"),
+    ):
+        code, out, err = run(capsys, "optimize", *argv, "--trace-out", str(trace))
+        assert (code, out, err) == (2, "", message + "\n")
+    assert searched == []
+    assert not trace.exists()
+
+    monkeypatch.undo()
+    # d = 3 with free weights searches 4 * 2 + 3 = 11 parameters per restart
+    argv = ("optimize", "-d", "3", "--vary-state-weights", "--restarts", "2",
+            "--budget", "40", "--trace-out", str(trace))
+    for name, cap in (("OPTIMIZE_MAX_DIMENSION", 3), ("OPTIMIZE_MAX_SEARCH_SIZE", 22)):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, cap)
+            assert run(capsys, *argv)[0] == 0
+            patch.setattr(cli, name, cap - 1)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "Traceback" not in err
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert f"exceeds the cap {cap - 1}" in lines[0]
+
+
 def assert_one_cross_check_line(err):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -676,6 +742,25 @@ def test_reproduce_detects_regression(capsys, monkeypatch):
     code, out, _ = run(capsys, "reproduce")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_bound_sweep_and_reproduce_leave_numpy_ma_unloaded():
+    script = (
+        "import contextlib, io, sys\n"
+        "from qudit_bell import cli\n"
+        "for argv in (['bound', '-d', '3'], ['sweep', '-d', '2..4'], ['reproduce']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------- output file

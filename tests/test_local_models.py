@@ -203,6 +203,25 @@ def test_enumeration_cap_check_is_the_bruteforce_gate():
         check_enumeration_cap(3, cap=80)
 
 
+def test_no_cap_admits_a_bruteforce_past_its_memory_ceiling():
+    assert local_models.BRUTEFORCE_MAX_DIMENSION == 300
+    check_enumeration_cap(300, cap=300**4)
+    message = (
+        "the brute force takes O(d^3) memory; d = 301 exceeds 300, "
+        "the largest d any cap admits"
+    )
+    with pytest.raises(EnumerationCapError) as direct:
+        check_enumeration_cap(301, cap=301**4)
+    assert str(direct.value) == message
+    with pytest.raises(EnumerationCapError) as via_bruteforce:
+        local_bound_bruteforce(build_expression("Id", 301), cap=10**12)
+    assert str(via_bruteforce.value) == message
+    # Id raises too, rather than skip to its case analysis as past the cap
+    with pytest.raises(EnumerationCapError) as via_local_bounds:
+        local_bounds("Id", 301, cap=10**12)
+    assert str(via_local_bounds.value) == message
+
+
 @pytest.mark.parametrize("family", ["I", "I3", "Id"])
 @pytest.mark.parametrize("d", range(2, 13))
 def test_bruteforce_matches_oracle_on_families(family, d):

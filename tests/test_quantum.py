@@ -1,6 +1,7 @@
 """Reference measurement setup: Born rule, closed form, asymptotics, noise."""
 
 import math
+import timeit
 
 import mpmath
 import numpy as np
@@ -361,13 +362,14 @@ def test_family_profile_bounds_and_noise_values_match_independent_routes():
 
 def test_catalan_constant_against_mpmath():
     mpmath.mp.dps = 30
-    assert abs(catalan_constant() - float(mpmath.catalan)) < 1e-14
+    assert abs(catalan_constant() - mpmath.catalan) < 4.5e-16
+    assert min(timeit.repeat(catalan_constant, number=10, repeat=5)) / 10 < 1e-3
 
 
 def test_asymptotic_value_against_mpmath():
     mpmath.mp.dps = 30
-    reference = float(32 * mpmath.catalan / mpmath.pi**2)
-    assert abs(asymptotic_value() - reference) < 1e-13
+    reference = 32 * mpmath.catalan / mpmath.pi**2
+    assert abs(asymptotic_value() - reference) < 2e-15
     assert asymptotic_value() == pytest.approx(2.96981, abs=5e-5)
 
 
