@@ -73,10 +73,11 @@ BOUND_MAX_DIMENSION = 4096
 THRESHOLD_MAX_DIMENSION = 2 ** 20
 
 # `optimize` replays its best point through the dense Born-rule table, about
-# 141 bytes times d^2, and advances its restarts in lockstep, about 600 bytes
-# per restart and search parameter.  The two caps hold these near 141 and
-# 300 MiB, under 0.5 GiB together; past either, `optimize` exits 2 before
-# computing anything.
+# 141 bytes times d^2, and advances its restarts in lockstep, about 500 bytes
+# per restart and search parameter (tracemalloc: 445 at d = 1000 with 104
+# restarts, 483 at d = 200 with 600, 514 at d = 20 with 6000).  The two caps
+# hold these near 141 and 260 MiB, under 0.5 GiB together; past either,
+# `optimize` exits 2 before computing anything.
 OPTIMIZE_MAX_DIMENSION = 1024
 OPTIMIZE_MAX_SEARCH_SIZE = 2 ** 19
 

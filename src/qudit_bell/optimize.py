@@ -21,10 +21,10 @@ vectors
 
     A[ab, m] = (1/d) * sum_j w_j exp(i [phi_a(j) + chi_b(j) + 2 pi j m / d]),
 
-one (4, d) matrix product per evaluation.  `_value_kernel` evaluates a
-(K, P) block of points at once, and each row's value is independent of
-the other rows, bit for bit.  The reported best point is replayed
-through the dense Born-rule table and tensor contraction.
+a matrix product with the Fourier matrix.  `_value_kernel` evaluates a
+(K, P) block of points with one (4 K, d) product, and each row's value
+is independent of the other rows, bit for bit.  The reported best point
+is replayed through the dense Born-rule table and tensor contraction.
 
 The search runs speculatively.  From a restart's current point every
 trial up to its next accepted move is known in advance: the pending
@@ -35,6 +35,14 @@ prefix up to its first hit, discarding the rest.  The restarts' moves
 are merged in restart order afterwards, so traces, evaluation indices
 and results are exactly those of running the restarts one after
 another, one trial at a time.
+
+A trial moves one coordinate of its restart's point, so the search
+builds its phase factors exp(i [phi_a(j) + chi_b(j)]) incrementally:
+each restart keeps the (4, d) factors of its current point, and a trial
+recomputes only the two that a moved phase enters (`_trial_builder`), or
+none for a moved weight.  Exponentials are elementwise, so the factors
+equal those computed from scratch bit for bit.  Start points and
+`objective` compute them from scratch (`_phase_factors`).
 """
 
 from __future__ import annotations
@@ -144,15 +152,93 @@ def _setup_from_parameters(problem: OptimizationProblem, params: np.ndarray) -> 
     return QuantumSetup(dimension=d, state_weights=weights, phases=phases)
 
 
-def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.ndarray]:
+def _phase_factors(dimension: int, block: np.ndarray) -> np.ndarray:
+    """Unit phase factors exp(i [phi_a(j) + chi_b(j)]) of a (K, P) block.
+
+    Returns a (K, 4 d) array: the four setting pairs ab in the order
+    00, 01, 10, 11, each a run of d levels.  Only the phase columns of
+    the block are read.
+    """
+    d = dimension
+    count = len(block)
+    rows = np.zeros((count, 4, d))
+    rows[:, :, 1:] = block[:, : 4 * (d - 1)].reshape(count, 4, d - 1)
+    angles = rows[:, :2, None] + rows[:, None, 2:]  # [K, alice s, bob t, j]
+    return np.exp(1j * angles).reshape(count, 4 * d)
+
+
+def _trial_builder(
+    problem: OptimizationProblem,
+) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """Compile a problem into the builder of a round's trials.
+
+    The returned function takes the restarts' current points and phase
+    factors, one row per restart, their steps, and each trial's restart
+    (``owner``) and probe.  Probe k adds +step (k even) or -step (k odd)
+    to coordinate k // 2.  It returns the trial points and their phase
+    factors, equal bit for bit to `_phase_factors` of those points: a
+    trial's factors are its restart's with the two cells of a moved phase
+    recomputed, since exponentials are elementwise, while a moved weight
+    changes none.  At most ``CHUNK`` trials per restart are expected.
+    """
+    d = problem.dimension
+    phase_count = problem.phase_count
+    # Phase coordinate p, setting s at level j, enters two cells of a row of
+    # factors, one for each setting t of the other party, whose phase at
+    # level j is added to it.  Row p of the table holds the offsets of those
+    # two partner coordinates from p, then the two cells.
+    settings, levels = np.divmod(np.arange(phase_count), d - 1)
+    other = np.arange(2)
+    alice = (settings < 2)[:, None]
+    own = (settings % 2)[:, None]
+    partners = (np.where(alice, 2, 0) + other) * (d - 1) + levels[:, None]
+    cells = np.where(alice, 2 * own + other, 2 * other + own) * d + levels[:, None] + 1
+    patch_table = np.hstack([partners - np.arange(phase_count)[:, None], cells])
+    signs = np.tile([1.0, -1.0], problem.parameter_count)
+    # Where each trial's row starts in the flattened points and factors.
+    rows = np.arange(CHUNK * problem.restarts)
+    point_starts = rows * problem.parameter_count
+    factor_starts = rows * (4 * d)
+    vary_weights = problem.vary_state_weights
+
+    def trials(
+        current: np.ndarray,
+        cache: np.ndarray,
+        steps: np.ndarray,
+        owner: np.ndarray,
+        probes: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        count = len(owner)
+        coordinates = probes >> 1
+        points = current.take(owner, axis=0)
+        factors = cache.take(owner, axis=0)
+        flat_points = points.reshape(-1)
+        moved = point_starts[:count] + coordinates
+        flat_points[moved] += signs.take(probes) * steps.take(owner)
+        targets = factor_starts[:count]
+        if vary_weights:
+            phase = coordinates < phase_count
+            coordinates, moved, targets = coordinates[phase], moved[phase], targets[phase]
+        patches = patch_table.take(coordinates, axis=0)
+        angles = flat_points.take(moved)[:, None] + flat_points.take(
+            moved[:, None] + patches[:, :2]
+        )
+        factors.reshape(-1).put(targets[:, None] + patches[:, 2:], np.exp(1j * angles))
+        return points, factors
+
+    return trials
+
+
+def _value_kernel(problem: OptimizationProblem) -> Callable[..., np.ndarray]:
     """Compile a problem into its batched circulant-form value kernel.
 
     The returned function maps a (K, P) block of flat parameter vectors
     (layout of `objective`, unchecked) to their K expression values
-    without building a setup or a probability table.  A row's value
-    depends on that row alone, bit for bit: the amplitudes are one
-    (4, d) matrix product per row and the final sum is a row-wise
-    reduction, never a product across rows.
+    without building a setup or a probability table.  It takes the
+    block's `_phase_factors` as an optional second argument, computing
+    them when they are not given.  The amplitudes of the whole block are
+    one (4 K, d) matrix product and the final sum is a row-wise
+    reduction, so a row's value depends on that row alone, bit for bit.
     """
     d = problem.dimension
     # |A|^2 summed against c equals the squared real and imaginary parts
@@ -164,19 +250,20 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[[np.ndarray], np.nda
     phase_count = problem.phase_count
     vary_weights = problem.vary_state_weights
 
-    def values(block: np.ndarray) -> np.ndarray:
+    def values(block: np.ndarray, factors: np.ndarray | None = None) -> np.ndarray:
         count = len(block)
-        rows = np.zeros((count, 4, d))
-        rows[:, :, 1:] = block[:, :phase_count].reshape(count, 4, d - 1)
+        if factors is None:
+            factors = _phase_factors(d, block)
         weights = (
-            _state_weights(d, block[:, phase_count:])[:, None, None]
+            _state_weights(d, block[:, phase_count:])[:, None]
             if vary_weights
             else equal_weights
         )
-        angles = rows[:, :2, None] + rows[:, None, 2:]  # [K, alice s, bob t, j]
-        amplitudes = (weights * np.exp(1j * angles)).reshape(count, 4, d) @ fourier
+        amplitudes = (weights * factors.reshape(count, 4, d)).reshape(4 * count, d) @ fourier
         parts = amplitudes.view(np.float64).reshape(count, -1)
-        return np.add.reduce(pair_weights * (parts * parts), axis=-1)
+        parts *= parts
+        parts *= pair_weights
+        return np.add.reduce(parts, axis=-1)
 
     return values
 
@@ -232,24 +319,30 @@ class _Restart:
     Probe k of a sweep moves coordinate k // 2 by +step (k even) or
     -step (k odd).  After a hit on probe k the restart walks: it retries
     probe k from the new point until that misses, then resumes the sweep
-    at probe 2 (k // 2 + 1).  ``moves`` logs every accepted point, the
-    initial one included, as (evaluation, value, point), with evaluations
-    counted from 1 within this restart.
+    at probe 2 (k // 2 + 1).  The restart's current point, its phase
+    factors and its step live in row ``row`` of the search's arrays.
+    ``moves`` logs every accepted value, the initial one included, as
+    (evaluation, value), with evaluations counted from 1 within this
+    restart; ``best_point`` is the point of the first move that beats
+    every earlier move (strict ``>``, so never a NaN).
     """
 
-    x: np.ndarray
+    row: int
     fx: float
     remaining: int
-    step: float = INITIAL_STEP
     position: int = 0
     moved: bool = False
     walk: int | None = None
     consumed: int = 1
-    moves: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
+    moves: list[tuple[int, float]] = field(default_factory=list)
+    best: float = -math.inf
+    best_point: np.ndarray | None = None
 
-    @property
-    def live(self) -> bool:
-        return self.remaining > 0 and self.step > MIN_STEP
+    def record(self, point: np.ndarray) -> None:
+        """Log the move to ``point``, whose value is ``fx``."""
+        self.moves.append((self.consumed, self.fx))
+        if self.fx > self.best:
+            self.best, self.best_point = self.fx, point.copy()
 
     def pending(self, sweep: int) -> list[int]:
         """Probes of the trials up to the next possible move.
@@ -265,33 +358,33 @@ class _Restart:
         return probes
 
     def consume(
-        self, probes: list[int], values: list[float], points: np.ndarray, sweep: int
-    ) -> None:
+        self, probes: list[int], values: list[float], sweep: int, steps: np.ndarray
+    ) -> int | None:
         """Keep the prefix of the trials that the one-at-a-time search makes.
 
         That prefix ends at the first trial with ``not (f <= fx)``, which
         also accepts a NaN value; later trials started from a stale point
-        and are dropped.
+        and are dropped.  Returns the index of that hit, or None.  A sweep
+        that ends without a move halves this restart's entry of ``steps``.
         """
         hit = next((i for i, value in enumerate(values) if not value <= self.fx), None)
         used = len(values) if hit is None else hit + 1
         self.consumed += used
         self.remaining -= used
         if hit is not None:
-            self.x = points[hit].copy()
             self.fx = values[hit]
-            self.moves.append((self.consumed, self.fx, self.x))
             self.moved = True
             self.walk = probes[hit]
             self.position = (self.walk | 1) + 1
-            return
+            return hit
         self.position += used - (self.walk is not None)
         self.walk = None
         if self.position == sweep:
             if not self.moved:
-                self.step *= 0.5
+                steps[self.row] *= 0.5
             self.moved = False
             self.position = 0
+        return None
 
 
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
@@ -300,51 +393,63 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
     Identical problems produce identical traces and results, equal bit
     for bit to running the restarts one after the other, one trial at a
     time.  The restarts advance in lockstep: each round evaluates up to
-    ``CHUNK`` pending trials of every live restart in one kernel call.  The final best
-    value is re-verified from the result's own phases and weights through
-    the dense Born-rule table and tensor contraction.  A disagreement
-    beyond 1e-9, or a search in which every value was NaN or -inf, raises
-    `CrossCheckError`.
+    ``CHUNK`` pending trials of every live restart in one kernel call,
+    each trial's phase factors patched from its restart's.  The final
+    best value is re-verified from the result's own phases and weights
+    through the dense Born-rule table and tensor contraction.  A
+    disagreement beyond 1e-9, or a search in which every value was NaN
+    or -inf, raises `CrossCheckError`.
     """
     values_of = _value_kernel(problem)
+    trials_of = _trial_builder(problem)
     sweep = 2 * problem.parameter_count
     per_restart = problem.budget // problem.restarts
-    starts = np.array([
+    # Row r holds restart r's current point, its phase factors and its step.
+    current = np.array([
         _initial_point(problem, np.random.default_rng(seed))
         for seed in np.random.SeedSequence(problem.seed).spawn(problem.restarts)
     ])
+    cache = _phase_factors(problem.dimension, current)
+    steps = np.full(problem.restarts, INITIAL_STEP)
     restarts = [
-        _Restart(x, fx, per_restart - 1, moves=[(1, fx, x)])
-        for x, fx in zip(starts, values_of(starts).tolist())
+        _Restart(row, fx, per_restart - 1)
+        for row, fx in enumerate(values_of(current, cache).tolist())
     ]
+    for restart in restarts:
+        restart.record(current[restart.row])
 
-    live = [restart for restart in restarts if restart.live]
-    while live:
+    live = restarts
+    while live := [
+        restart for restart in live
+        if restart.remaining > 0 and steps[restart.row] > MIN_STEP
+    ]:
         batches = [restart.pending(sweep) for restart in live]
-        counts = [len(probes) for probes in batches]
-        owner = np.repeat(np.arange(len(live)), counts)
+        owner = np.array([restart.row for restart in live]).repeat(
+            [len(probes) for probes in batches]
+        )
         probes = np.fromiter(itertools.chain.from_iterable(batches), np.intp, len(owner))
-        steps = np.array([restart.step for restart in live])[owner]
-        # Probe k adds +step (k even) or -step (k odd) to coordinate k // 2.
-        points = np.array([restart.x for restart in live])[owner]
-        points[np.arange(len(owner)), probes >> 1] += np.where(probes & 1, -steps, steps)
-        values = values_of(points).tolist()
+        points, factors = trials_of(current, cache, steps, owner, probes)
+        values = values_of(points, factors).tolist()
         offset = 0
-        for restart, probes, count in zip(live, batches, counts):
-            end = offset + count
-            restart.consume(probes, values[offset:end], points[offset:end], sweep)
+        for restart, probes in zip(live, batches):
+            end = offset + len(probes)
+            hit = restart.consume(probes, values[offset:end], sweep, steps)
+            if hit is not None:
+                current[restart.row] = points[offset + hit]
+                cache[restart.row] = factors[offset + hit]
+                restart.record(current[restart.row])
             offset = end
-        live = [restart for restart in live if restart.live]
 
     # Merge in restart order, as if the restarts had run one after another.
+    # The last incumbent a restart sets is its best point.
     trace: list[tuple[int, float]] = []
     best_value = -math.inf
     best_params: np.ndarray | None = None
     offset = 0
     for restart in restarts:
-        for evaluation, value, point in restart.moves:
+        for evaluation, value in restart.moves:
             if value > best_value:
-                best_value, best_params = value, point
+                best_value, best_params = value, restart.best_point
                 trace.append((offset + evaluation, value))
         offset += restart.consumed
     initial_value = restarts[0].moves[0][1]

@@ -21,10 +21,13 @@ from qudit_bell import (
     write_trace_csv,
 )
 from qudit_bell.optimize import (
+    CHUNK,
     INITIAL_STEP,
     MIN_STEP,
     _initial_point,
+    _phase_factors,
     _setup_from_parameters,
+    _trial_builder,
     _value_kernel,
 )
 
@@ -219,6 +222,19 @@ def test_kernel_compiles_from_shift_weights_alone(monkeypatch):
         assert values.shape == (1,)
 
 
+def test_default_budget_search_memory_at_d_64():
+    # The lockstep arrays hold one point and one row of phase factors per
+    # restart, and each restart keeps only its best point: about 3.1 MiB.
+    # A log of every accepted point would add about 14 MiB.
+    tracemalloc.start()
+    try:
+        maximize(OptimizationProblem(dimension=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_kernel_compile_memory_at_d_1000():
     # The d x d Fourier matrix and its temporaries take about 31 MiB; one
     # dense (2, 2, d, d) tensor would add 32 MiB.
@@ -233,7 +249,9 @@ def test_kernel_compile_memory_at_d_1000():
 
 def test_maximize_raises_when_no_incumbent(monkeypatch):
     monkeypatch.setattr(
-        optimize_module, "_value_kernel", lambda problem: lambda block: np.full(len(block), np.nan)
+        optimize_module,
+        "_value_kernel",
+        lambda problem: lambda block, factors=None: np.full(len(block), np.nan),
     )
     with pytest.raises(RuntimeError, match="no incumbent"):
         maximize(OptimizationProblem(dimension=2, budget=10, restarts=1))
@@ -266,6 +284,42 @@ def test_kernel_rows_are_independent_of_the_block():
         assert np.array_equal(values(block[::-1]), batched[::-1])
         cases += 1
     assert cases == 11 * 3 * 2
+
+
+@pytest.mark.parametrize("d", [*range(2, 13), 64, 1000])
+def test_trial_factors_equal_the_full_kernel(d):
+    # Each restart's trials cover both signs of a step, phase coordinates
+    # of every setting and, with free weights, weight coordinates.
+    rng = np.random.default_rng(d)
+    for family in ("I", "I3", "Id"):
+        for weights in VARY_STATE_WEIGHTS:
+            problem = OptimizationProblem(
+                dimension=d, family=family, vary_state_weights=weights, budget=2, restarts=2
+            )
+            sweep = 2 * problem.parameter_count
+            current = rng.uniform(-2 * np.pi, 2 * np.pi, (2, problem.parameter_count))
+            if weights:
+                current[1, -d:] = 0.0  # equal-weight fallback row
+            steps = rng.uniform(1e-3, 1.0, 2)
+            owner = np.repeat([0, 1], CHUNK)
+            probes = np.concatenate([
+                [0, 1, sweep - 2, sweep - 1],
+                rng.integers(sweep, size=2 * CHUNK - 4),
+            ])
+            points, factors = _trial_builder(problem)(
+                current, _phase_factors(d, current), steps, owner, probes
+            )
+
+            expected = current[owner]
+            expected[np.arange(len(owner)), probes >> 1] += np.where(
+                probes & 1, -steps[owner], steps[owner]
+            )
+            assert np.array_equal(points, expected)
+            assert np.array_equal(factors, _phase_factors(d, points))
+            values = _value_kernel(problem)
+            patched = values(points, factors)
+            for row, value in zip(points, patched):
+                assert values(row[None])[0] == value, (d, family, weights)
 
 
 def _sequential_search(problem):
@@ -389,8 +443,8 @@ def test_batched_search_keeps_nan_semantics(monkeypatch):
     def kernel_with_nans(problem):
         values = compile_kernel(problem)
 
-        def patched(block):
-            out = values(block)
+        def patched(block, factors=None):
+            out = values(block, factors)
             out[np.sin(7.0 * block[:, 0]) > 0.8] = math.nan
             return out
 
