@@ -62,9 +62,9 @@ EXCEEDS_REFERENCE_ATOL = 1e-6
 # dimension it exits 2 before computing anything.
 QUANTUM_MAX_DIMENSION = 2 ** 20
 
-# The case analysis behind `bound` and `sweep` peaks at about 28 bytes times
-# d^2 (240 MiB at d = 3000), about 450 MiB at this cap; past it they exit 2
-# before computing anything.
+# `bound` and `sweep` run a case analysis of O(d) time and memory per d, 2.1 MiB
+# at this cap (tracemalloc); a sweep is O(d^2) in its top d, about 4 s up to
+# the cap.  Past it they exit 2 before computing anything.
 BOUND_MAX_DIMENSION = 4096
 
 # `quantum_value(d)`, behind `threshold --family Id`, holds about 24 bytes
@@ -277,7 +277,7 @@ def _base_payload(command: str, **extra) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
-    _check_max_dimension(d, BOUND_MAX_DIMENSION, "bound's case analysis takes O(d^2) memory")
+    _check_max_dimension(d, BOUND_MAX_DIMENSION, "bound takes O(d) memory, 2.1 MiB at the cap")
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
@@ -402,7 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     lo, hi = _parse_dimension_range(args.dimension)
     if args.family != "Id":
         raise UsageError("sweep reports the Id family; other families are not supported")
-    _check_max_dimension(hi, BOUND_MAX_DIMENSION, "sweep's case analysis takes O(d^2) memory")
+    _check_max_dimension(hi, BOUND_MAX_DIMENSION, "sweep takes O(d^2) time, about 4 s at the cap")
     rows = []
     for d in range(lo, hi + 1):
         bound = local_bounds("Id", d).bound

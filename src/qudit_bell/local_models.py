@@ -18,8 +18,8 @@ enters through the canonical shifts realised around the measurement
 cycle, the four shifts obey one cyclic constraint, and the value is the
 sum of the four shift weights.  `local_bound_cases` computes that
 constrained maximum as a max-plus cyclic self-convolution of the integer
-weight numerators in O(d^2) time and memory; `local_bounds` runs both
-routes and cross-checks them.
+weight numerators, which are linear on two pieces, in O(d) time and
+memory; `local_bounds` runs both routes and cross-checks them.
 """
 
 from __future__ import annotations
@@ -209,33 +209,32 @@ def local_bound_cases(d: int) -> tuple[float, set[float]]:
     N is the integer numerator of the shift weight and the canonical
     shifts obey r + s + t + u = -1 (mod d).  That is a max-plus cyclic
     self-convolution of N, computed in two steps: the attainable values
-    of N(r) + N(s) for each residue rho of r + s (a d x d pass), then
-    the sums of those values with the ones at the partner residue
-    -1 - rho.  O(d^2) time and memory; the returned maximum and
+    of N(r) + N(s) for each residue rho of r + s, then their sums with
+    the ones at the partner residue -1 - rho.  N is c - 2x on two pieces,
+    c = d - 1 on [0, hi] and c = -(d + 1) on [lo, -1], and the sums S of
+    two integer intervals have no gaps, so the values at rho are c1 + c2
+    - 2S over the 3 piece pairs and the at most 2 S = rho (mod d) in
+    [2 lo, 2 hi].  O(d) time and memory; the returned maximum and
     attainable-value set are exact.
     """
     lo, hi = shift_interval(d)
-    shifts = np.arange(lo, hi + 1)
-    # term_weight(x, d) * (d - 1), as exact integers
-    numerators = np.where(shifts >= 0, d - 1 - 2 * shifts, -2 * shifts - (d + 1))
-
-    pair_values = numerators[:, None] + numerators[None, :]
-    low = int(pair_values.min())
-    seen = np.zeros((d, int(pair_values.max()) - low + 1), dtype=bool)
-    seen[(shifts[:, None] + shifts[None, :]) % d, pair_values - low] = True
-    residues, offsets = np.nonzero(seen)
-
-    # row rho of `table` lists the pair values at residue rho, ascending
-    counts = np.bincount(residues, minlength=d)
-    filled = np.arange(counts.max()) < counts[:, None]
-    table = np.zeros(filled.shape, dtype=np.int64)
-    table[filled] = offsets + low
-    partner = (-1 - np.arange(d)) % d
+    # piece pairs (+, +), (+, -), (-, -): c1 + c2 and the ends of their sum
+    c = np.array([2 * (d - 1), -2, -2 * (d + 1)])
+    first, last = np.array([0, lo, 2 * lo]), np.array([2 * hi, hi - 1, -2])
+    rho = np.arange(d)
+    # the at most two S = rho (mod d) in [2 lo, 2 hi], as a (d, 2, 1) array
+    sums = (2 * lo + (rho - 2 * lo) % d)[:, None, None] + [[0], [d]]
+    # row rho of `table` holds c1 + c2 - 2S for each S and piece pair, and
+    # `filled` marks where S lies in the pair's interval sum
+    filled = ((first <= sums) & (sums <= last)).reshape(d, 6)
+    table = (c - 2 * sums).reshape(d, 6)
+    low, high = int(table[filled].min()), int(table[filled].max())
+    partner = (-1 - rho) % d
     totals = table[:, :, None] + table[partner][:, None, :]
     both = filled[:, :, None] & filled[partner][:, None, :]
-    # a presence table over the totals' range, like `seen`; np.unique would
-    # import numpy.ma on first use
-    present = np.zeros(2 * seen.shape[1] - 1, dtype=bool)
+    # a presence table over the totals' range; np.unique would import
+    # numpy.ma on first use
+    present = np.zeros(2 * (high - low) + 1, dtype=bool)
     present[totals[both] - 2 * low] = True
     attained = np.flatnonzero(present) + 2 * low
     attainable = {int(n) / (d - 1) for n in attained}

@@ -207,6 +207,10 @@ def test_bound_at_the_cap_runs_both_routes(capsys, monkeypatch):
     assert calls == [("Id", 56)]
 
 
+BOUND_CAP_REASON = "bound takes O(d) memory, 2.1 MiB at the cap"
+SWEEP_CAP_REASON = "sweep takes O(d^2) time, about 4 s at the cap"
+
+
 def test_bound_and_sweep_dimension_cap(capsys, monkeypatch):
     assert cli.BOUND_MAX_DIMENSION == 4096
     monkeypatch.setattr(cli, "BOUND_MAX_DIMENSION", 60)
@@ -219,17 +223,31 @@ def test_bound_and_sweep_dimension_cap(capsys, monkeypatch):
 
     monkeypatch.setattr(local_models, "local_bound_cases", computed)
     monkeypatch.setattr(cli, "family_profile", computed)
-    for argv, command in (
-        (("bound", "-d", "61"), "bound"),
-        (("bound", "-d", "61", "--family", "I"), "bound"),
-        (("sweep", "-d", "2..61"), "sweep"),
+    for argv, reason in (
+        (("bound", "-d", "61"), BOUND_CAP_REASON),
+        (("bound", "-d", "61", "--family", "I"), BOUND_CAP_REASON),
+        (("sweep", "-d", "2..61"), SWEEP_CAP_REASON),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: {command}'s case analysis takes O(d^2) memory; "
-            "d = 61 exceeds the cap 60\n"
-        )
+        assert err == f"error: {reason}; d = 61 exceeds the cap 60\n"
+
+
+def test_bound_at_the_real_cap_edge(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "bound", "-d", "4096", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["local_bound"] == 2.0
+    assert payload["attainable_values"] == [2.0, -2 / 4095, -2 * 4097 / 4095]
+    assert peak < 16 * 2**20
+    code, out, err = run(capsys, "bound", "-d", "4097")
+    assert (code, out) == (2, "")
+    assert err == f"error: {BOUND_CAP_REASON}; d = 4097 exceeds the cap 4096\n"
 
 
 def test_bound_cap_admits_no_bruteforce_past_the_ceiling(capsys, monkeypatch):

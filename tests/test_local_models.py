@@ -33,8 +33,9 @@ dims = st.integers(min_value=2, max_value=10)
 # ---------------------------------------------------------------- oracles
 #
 # The full enumerations the library used before it decoupled the brute
-# force and reduced the case analysis to residues.  They share no code
-# with either route and are the reference for bit-identical results.
+# force and reduced the case analysis to residues, and the d x d residue
+# table it used before the two-piece form.  They share no code with
+# either route and are the reference for bit-identical results.
 
 
 def bruteforce_oracle(expr):
@@ -71,6 +72,37 @@ def cases_oracle(d):
     )
     unique = np.unique(totals)
     return int(unique[-1]) / (d - 1), {int(n) / (d - 1) for n in unique}
+
+
+def residue_table_oracle(d):
+    """Maximum and attainable set from the d x d pass over shift pairs (r, s).
+
+    The pair values at each residue of r + s come from the full d x d
+    table, then meet the ones at the partner residue -1 - rho.  O(d^2)
+    time and memory, so it reaches past the grid oracle's d = 60.
+    """
+    lo, hi = shift_interval(d)
+    shifts = np.arange(lo, hi + 1)
+    numerators = np.where(shifts >= 0, d - 1 - 2 * shifts, -2 * shifts - (d + 1))
+
+    pair_values = numerators[:, None] + numerators[None, :]
+    low = int(pair_values.min())
+    seen = np.zeros((d, int(pair_values.max()) - low + 1), dtype=bool)
+    seen[(shifts[:, None] + shifts[None, :]) % d, pair_values - low] = True
+    residues, offsets = np.nonzero(seen)
+
+    # row rho of `table` lists the pair values at residue rho, ascending
+    counts = np.bincount(residues, minlength=d)
+    filled = np.arange(counts.max()) < counts[:, None]
+    table = np.zeros(filled.shape, dtype=np.int64)
+    table[filled] = offsets + low
+    partner = (-1 - np.arange(d)) % d
+    totals = table[:, :, None] + table[partner][:, None, :]
+    both = filled[:, :, None] & filled[partner][:, None, :]
+    present = np.zeros(2 * seen.shape[1] - 1, dtype=bool)
+    present[totals[both] - 2 * low] = True
+    attained = np.flatnonzero(present) + 2 * low
+    return int(attained[-1]) / (d - 1), {int(n) / (d - 1) for n in attained}
 
 
 def assert_matches_oracle(expr):
@@ -299,15 +331,33 @@ def test_case_analysis_matches_grid_oracle(d):
     assert local_bound_cases(d) == cases_oracle(d)
 
 
-def test_case_analysis_at_d_1000_in_bounded_memory():
+def test_residue_table_oracle_matches_grid_oracle():
+    for d in (2, 3, 4, 17, 60):
+        assert residue_table_oracle(d) == cases_oracle(d)
+
+
+def test_case_analysis_matches_residue_table_oracle_past_the_grid():
+    for d in [*range(61, 401), 1000]:
+        assert local_bound_cases(d) == residue_table_oracle(d), d
+
+
+def assert_case_analysis_peak_below(d, limit_mib):
     tracemalloc.start()
     try:
-        result = local_bound_cases(1000)
+        result = local_bound_cases(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result == (2.0, {2.0, -2 / 999, -2 * 1001 / 999})
-    assert peak < 64 * 2**20
+    assert result == (2.0, {2.0, -2 / (d - 1), -2 * (d + 1) / (d - 1)})
+    assert peak < limit_mib * 2**20
+
+
+def test_case_analysis_at_d_1000_in_bounded_memory():
+    assert_case_analysis_peak_below(1000, 4)
+
+
+def test_case_analysis_at_the_bound_cap_in_bounded_memory():
+    assert_case_analysis_peak_below(4096, 8)
 
 
 # ---------------------------------------------------------------- local_bounds
