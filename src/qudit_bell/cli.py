@@ -576,9 +576,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     optimize = subparsers.add_parser("optimize", help="random-restart phase search")
     optimize.add_argument("--dimension", "-d", required=True)
-    optimize.add_argument("--seed", type=int, default=0)
-    optimize.add_argument("--budget", type=int, default=50_000)
-    optimize.add_argument("--restarts", type=int, default=20)
+    optimize.add_argument("--seed", type=int, default=OptimizationProblem.seed)
+    optimize.add_argument("--budget", type=int, default=OptimizationProblem.budget)
+    optimize.add_argument("--restarts", type=int, default=OptimizationProblem.restarts)
     optimize.add_argument("--vary-state-weights", action="store_true",
                           help="search the Schmidt weights of the state too")
     optimize.add_argument("--trace-out", default=None,

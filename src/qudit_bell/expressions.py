@@ -46,13 +46,11 @@ __all__ = [
     "CrossCheckError",
     "JointDistribution",
     "build_expression",
-    "canonical_shift",
     "correlator",
     "evaluate",
     "evaluate_via_correlators",
     "shift_interval",
     "shift_weights",
-    "term_weight",
 ]
 
 FAMILIES = ("I", "I3", "Id")
@@ -82,28 +80,6 @@ def shift_interval(d: int) -> tuple[int, int]:
     """Inclusive canonical range for outcome differences modulo d."""
     _check_dimension(d)
     return -(d // 2), (d - 1) // 2
-
-
-def canonical_shift(x: int, d: int) -> int:
-    """Reduce x modulo d into the canonical interval of `shift_interval`."""
-    half = d // 2
-    return (int(x) + half) % d - half
-
-
-def term_weight(x: int, d: int) -> float:
-    """Weight carried by a coincidence term at canonical outcome shift x.
-
-    Nonnegative shifts k enter with weight 1 - 2k/(d-1); a negative
-    shift x carries the matching penalty -(1 - 2(-x-1)/(d-1)).  The
-    shift must lie in the canonical interval for dimension d.
-    """
-    lo, hi = shift_interval(d)
-    if not lo <= x <= hi:
-        raise ValueError(
-            f"shift {x} outside the canonical interval [{lo}, {hi}] for d={d}"
-        )
-    numerator = d - 1 - 2 * x if x >= 0 else -2 * x - (d + 1)
-    return numerator / (d - 1)
 
 
 def _readonly_array(values, shape: tuple[int, ...], name: str, dtype=float) -> np.ndarray:
@@ -139,12 +115,6 @@ class JointDistribution:
         if worst > DISTRIBUTION_ATOL:
             raise ValueError(f"setting-pair totals deviate from 1 by {worst}")
         object.__setattr__(self, "table", table)
-
-    @classmethod
-    def uniform(cls, d: int) -> "JointDistribution":
-        """The fully random distribution: every cell 1/d^2."""
-        _check_dimension(d)
-        return cls(dimension=d, table=np.full((2, 2, d, d), 1.0 / (d * d)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ memory; `local_bounds` runs both routes and cross-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,28 +31,20 @@ import numpy as np
 from .expressions import (
     BellExpression,
     CrossCheckError,
-    JointDistribution,
     _check_family,
     build_expression,
-    canonical_shift,
     shift_interval,
-    term_weight,
 )
 
 __all__ = [
     "BRUTEFORCE_MAX_DIMENSION",
     "ENUMERATION_CAP",
-    "DeterministicStrategy",
     "EnumerationCapError",
     "LocalBounds",
-    "StrategyDifferences",
     "check_enumeration_cap",
-    "differences_of",
     "local_bound_bruteforce",
     "local_bound_cases",
     "local_bounds",
-    "point_mass_distribution",
-    "strategy_value",
 ]
 
 ENUMERATION_CAP = 10_000_000
@@ -68,76 +59,6 @@ CROSS_CHECK_ATOL = 1e-12
 
 class EnumerationCapError(RuntimeError):
     """Raised when a brute-force enumeration would exceed the strategy cap."""
-
-
-@dataclass(frozen=True, order=True)
-class DeterministicStrategy:
-    """One local assignment of outcomes to A1, A2, B1, B2."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-
-
-def _check_strategy(strategy: DeterministicStrategy, d: int) -> None:
-    for name in ("a1", "a2", "b1", "b2"):
-        value = getattr(strategy, name)
-        if not 0 <= value < d:
-            raise ValueError(f"outcome {name}={value} outside 0..{d - 1}")
-
-
-class StrategyDifferences(NamedTuple):
-    """Canonical outcome shifts around the measurement cycle.
-
-    The four links are A1 = B1 + a1_b1, B1 = A2 + b1_a2 + 1,
-    A2 = B2 + a2_b2 and B2 = A1 + b2_a1, each shift reduced to the
-    canonical interval.  The extra +1 on the B1/A2 link makes the four
-    shifts obey a1_b1 + b1_a2 + a2_b2 + b2_a1 + 1 = 0 (mod d).
-    """
-
-    a1_b1: int
-    b1_a2: int
-    a2_b2: int
-    b2_a1: int
-
-
-def differences_of(strategy: DeterministicStrategy, d: int) -> StrategyDifferences:
-    """Canonical shift tuple realised by a deterministic strategy."""
-    _check_strategy(strategy, d)
-    return StrategyDifferences(
-        canonical_shift(strategy.a1 - strategy.b1, d),
-        canonical_shift(strategy.b1 - strategy.a2 - 1, d),
-        canonical_shift(strategy.a2 - strategy.b2, d),
-        canonical_shift(strategy.b2 - strategy.a1, d),
-    )
-
-
-def point_mass_distribution(strategy: DeterministicStrategy, d: int) -> JointDistribution:
-    """The joint distribution produced by a single deterministic strategy."""
-    _check_strategy(strategy, d)
-    table = np.zeros((2, 2, d, d))
-    table[0, 0, strategy.a1, strategy.b1] = 1.0
-    table[0, 1, strategy.a1, strategy.b2] = 1.0
-    table[1, 0, strategy.a2, strategy.b1] = 1.0
-    table[1, 1, strategy.a2, strategy.b2] = 1.0
-    return JointDistribution(dimension=d, table=table)
-
-
-def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> float:
-    """Id-family value of one strategy via the shift-weight sum.
-
-    Equals ``evaluate(expr, point_mass_distribution(strategy, d))`` but
-    goes through the canonical shift tuple instead of the coefficient
-    tensor; only the Id construction admits this shortcut.
-    """
-    if expr.family != "Id":
-        raise ValueError(
-            "strategy_value applies to the Id family; evaluate the point-mass "
-            "distribution for other families"
-        )
-    diffs = differences_of(strategy, expr.dimension)
-    return sum(term_weight(x, expr.dimension) for x in diffs)
 
 
 def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:

@@ -37,6 +37,7 @@ from .expressions import (
     JointDistribution,
     _check_dimension,
     _check_family,
+    _check_setting,
     shift_interval,
 )
 
@@ -71,9 +72,7 @@ STATE_NORM_ATOL = 1e-12
 REPRODUCTION_RTOL = 5e-5
 
 
-def _phase_vectors(vectors, d: int, name: str):
-    if vectors is None:
-        return None
+def _phase_vectors(vectors, d: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     if len(vectors) != 2:
         raise ValueError(f"{name} needs one phase vector per setting, got {len(vectors)}")
     out = []
@@ -94,49 +93,40 @@ def _phase_vectors(vectors, d: int, name: str):
 class MeasurementPhases:
     """Per-setting measurement phases for both parties.
 
-    Phases default to the linear form phase(j) = (2 pi / d) * slope * j.
-    Explicit per-outcome vectors (radians, length d) override the linear
-    form for the corresponding party.
+    ``alice_vectors`` and ``bob_vectors`` hold one phase vector per
+    setting, in radians and of length d: entry j is the phase of level
+    j.  They are copied and stored read-only.  `reference` builds the
+    linear phases (2 pi / d) * slope * j of the reference slopes.
     """
 
     dimension: int
-    alice_slopes: tuple[float, float] = REFERENCE_ALICE_SLOPES
-    bob_slopes: tuple[float, float] = REFERENCE_BOB_SLOPES
-    alice_vectors: tuple[np.ndarray, np.ndarray] | None = None
-    bob_vectors: tuple[np.ndarray, np.ndarray] | None = None
+    alice_vectors: tuple[np.ndarray, np.ndarray]
+    bob_vectors: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
         d = self.dimension
         _check_dimension(d)
-        for name in ("alice_slopes", "bob_slopes"):
-            slopes = getattr(self, name)
-            if len(slopes) != 2:
-                raise ValueError(f"{name} needs exactly two slopes, got {len(slopes)}")
-        object.__setattr__(
-            self, "alice_vectors", _phase_vectors(self.alice_vectors, d, "alice_vectors")
-        )
-        object.__setattr__(
-            self, "bob_vectors", _phase_vectors(self.bob_vectors, d, "bob_vectors")
-        )
+        for name in ("alice_vectors", "bob_vectors"):
+            object.__setattr__(self, name, _phase_vectors(getattr(self, name), d, name))
 
     @classmethod
     def reference(cls, d: int) -> "MeasurementPhases":
         """The linear-phase construction behind the closed-form table."""
-        return cls(dimension=d)
-
-    def _vector(self, vectors, slopes, setting: int) -> np.ndarray:
-        if setting not in (0, 1):
-            raise ValueError(f"setting must be 0 or 1, got {setting}")
-        if vectors is not None:
-            return vectors[setting]
-        d = self.dimension
-        return (2.0 * math.pi / d) * slopes[setting] * np.arange(d)
+        _check_dimension(d)
+        step, levels = 2.0 * math.pi / d, np.arange(d)
+        alice, bob = (
+            [step * slope * levels for slope in slopes]
+            for slopes in (REFERENCE_ALICE_SLOPES, REFERENCE_BOB_SLOPES)
+        )
+        return cls(dimension=d, alice_vectors=alice, bob_vectors=bob)
 
     def alice_phase(self, setting: int) -> np.ndarray:
-        return self._vector(self.alice_vectors, self.alice_slopes, setting)
+        _check_setting(setting, "setting")
+        return self.alice_vectors[setting]
 
     def bob_phase(self, setting: int) -> np.ndarray:
-        return self._vector(self.bob_vectors, self.bob_slopes, setting)
+        _check_setting(setting, "setting")
+        return self.bob_vectors[setting]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +206,18 @@ def closed_form_distribution(d: int) -> JointDistribution:
     return JointDistribution(dimension=d, table=table)
 
 
+# `quantum_value`'s route: golden files pin its digits, and `threshold` needs
+# its numpy speed at the 2**20 cap.  numpy's `sin` differs from `math.sin` in
+# the last bits at large d, so the printed correlators are `_scalar_correlators`.
 def _correlator_values(shifts: np.ndarray, d: int) -> np.ndarray:
     return 1.0 / (2.0 * d * d * np.sin(np.pi * (shifts + 0.25) / d) ** 2)
+
+
+def _scalar_correlators(shifts, d: int) -> list[tuple[int, float]]:
+    """The pairs (c, q_c) for the given shifts: one comprehension, no call per shift."""
+    scale = 2.0 * d * d
+    sin, pi = math.sin, math.pi
+    return [(c, 1.0 / (scale * sin(pi * (c + 0.25) / d) ** 2)) for c in shifts]
 
 
 def quantum_correlator(c: int, d: int) -> float:
@@ -231,21 +231,17 @@ def quantum_correlator(c: int, d: int) -> float:
         raise ValueError(
             f"shift {c} outside the canonical interval [{lo}, {hi}] for d={d}"
         )
-    return 1.0 / (2.0 * d * d * math.sin(math.pi * (c + 0.25) / d) ** 2)
+    return _scalar_correlators((c,), d)[0][1]
 
 
 def quantum_correlators(d: int) -> list[tuple[int, float]]:
     """The pairs (c, q_c) for every canonical shift, in `ordered_shifts` order.
 
-    The shifts come from one range check, and each value from the scalar
-    formula of `quantum_correlator`, so the list equals
-    ``[(c, quantum_correlator(c, d)) for c in ordered_shifts(d)]`` bit for
-    bit.  (The vectorised `_correlator_values` differs in the last bits at
-    large d.)
+    The shifts come from one range check, and the values from the same
+    scalar closed form as `quantum_correlator`, so each equals
+    ``quantum_correlator(c, d)`` bit for bit.
     """
-    scale = 2.0 * d * d
-    sin, pi = math.sin, math.pi
-    return [(c, 1.0 / (scale * sin(pi * (c + 0.25) / d) ** 2)) for c in ordered_shifts(d)]
+    return _scalar_correlators(ordered_shifts(d), d)
 
 
 def ordered_shifts(d: int) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from qudit_bell import (
     quantum_value_I,
     shift_interval,
 )
-from qudit_bell.local_models import DeterministicStrategy, differences_of
+from conftest import DeterministicStrategy, differences_of
 
 
 @contextmanager
@@ -151,8 +151,6 @@ def test_criterion_8a_normalization():
             d = int(rng.integers(2, 11))
             phases = MeasurementPhases(
                 d,
-                (0.0, 0.5),
-                (0.25, -0.25),
                 alice_vectors=(rng.uniform(0, 2 * np.pi, d), rng.uniform(0, 2 * np.pi, d)),
                 bob_vectors=(rng.uniform(0, 2 * np.pi, d), rng.uniform(0, 2 * np.pi, d)),
             )
@@ -226,12 +224,12 @@ def test_criterion_8e_gauge_invariance():
             vectors = [rng.uniform(0, 2 * np.pi, d) for _ in range(4)]
             offsets = rng.uniform(-20, 20, size=4)
             base = MeasurementPhases(
-                d, (0.0, 0.5), (0.25, -0.25),
+                d,
                 alice_vectors=(vectors[0], vectors[1]),
                 bob_vectors=(vectors[2], vectors[3]),
             )
             shifted = MeasurementPhases(
-                d, (0.0, 0.5), (0.25, -0.25),
+                d,
                 alice_vectors=(vectors[0] + offsets[0], vectors[1] + offsets[1]),
                 bob_vectors=(vectors[2] + offsets[2], vectors[3] + offsets[3]),
             )

@@ -21,6 +21,7 @@ import qudit_bell.local_models as local_models
 import qudit_bell.quantum as quantum_module
 from qudit_bell import (
     FAMILIES,
+    OptimizationProblem,
     build_expression,
     closed_form_distribution,
     evaluate,
@@ -68,6 +69,14 @@ def test_bad_range(capsys):
 def test_sweep_rejects_other_families(capsys):
     code, _, err = run(capsys, "sweep", "-d", "2..3", "--family", "I")
     assert code == 2
+
+
+def test_optimize_defaults_are_the_problem_defaults():
+    args = cli._build_parser().parse_args(["optimize", "-d", "2"])
+    problem = OptimizationProblem(dimension=2)
+    assert (args.budget, args.restarts, args.seed) == (
+        problem.budget, problem.restarts, problem.seed
+    )
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):

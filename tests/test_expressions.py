@@ -14,15 +14,18 @@ from qudit_bell import (
     BellExpression,
     JointDistribution,
     build_expression,
-    canonical_shift,
     correlator,
     evaluate,
     evaluate_via_correlators,
     shift_interval,
     shift_weights,
-    term_weight,
 )
-from conftest import random_distribution
+from conftest import (
+    canonical_shift,
+    random_distribution,
+    term_weight,
+    uniform_distribution,
+)
 
 dims = st.integers(min_value=2, max_value=12)
 
@@ -190,17 +193,17 @@ def test_Id_at_d2_is_affine_in_I(rng):
 
 def test_uniform_distribution_values():
     for d in (2, 3, 7):
-        uniform = JointDistribution.uniform(d)
+        uniform = uniform_distribution(d)
         assert evaluate(build_expression("Id", d), uniform) == pytest.approx(0, abs=1e-12)
         assert evaluate(build_expression("I", d), uniform) == pytest.approx(4 / d, abs=1e-12)
-    assert evaluate(build_expression("I3", 3), JointDistribution.uniform(3)) == pytest.approx(
+    assert evaluate(build_expression("I3", 3), uniform_distribution(3)) == pytest.approx(
         0, abs=1e-12
     )
 
 
 def test_evaluate_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        evaluate(build_expression("Id", 3), JointDistribution.uniform(4))
+        evaluate(build_expression("Id", 3), uniform_distribution(4))
 
 
 @settings(max_examples=60)
@@ -255,7 +258,7 @@ def test_distribution_validation():
     with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
         JointDistribution(1, np.zeros((2, 2, 1, 1)))
     with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
-        JointDistribution.uniform(1)
+        uniform_distribution(1)
     with pytest.raises(ValueError):
         JointDistribution(3, np.zeros((2, 2, 3, 3)))  # pairs sum to 0, not 1
     table = np.full((2, 2, 2, 2), 0.25)
@@ -270,7 +273,7 @@ def test_distribution_validation():
 
 
 def test_distribution_table_is_readonly():
-    dist = JointDistribution.uniform(3)
+    dist = uniform_distribution(3)
     with pytest.raises(ValueError):
         dist.table[0, 0, 0, 0] = 1.0
 
@@ -307,5 +310,5 @@ def test_expression_copies_a_callers_array():
 
 
 def test_uniform_constructor_normalized():
-    dist = JointDistribution.uniform(6)
+    dist = uniform_distribution(6)
     assert math.isclose(dist.table.sum(), 4.0, abs_tol=1e-12)

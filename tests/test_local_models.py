@@ -11,19 +11,20 @@ import qudit_bell.local_models as local_models
 from qudit_bell import (
     BellExpression,
     CrossCheckError,
-    DeterministicStrategy,
     EnumerationCapError,
     JointDistribution,
     build_expression,
-    canonical_shift,
     check_enumeration_cap,
-    differences_of,
     evaluate,
     local_bound_bruteforce,
     local_bound_cases,
     local_bounds,
-    point_mass_distribution,
     shift_interval,
+)
+from conftest import (
+    DeterministicStrategy,
+    differences_of,
+    point_mass_distribution,
     strategy_value,
 )
 

@@ -101,12 +101,12 @@ def test_gauge_invariance_of_born_values():
         vectors = [rng.uniform(0, 2 * math.pi, size=d) for _ in range(4)]
         shifts = rng.uniform(-10, 10, size=4)
         base = MeasurementPhases(
-            d, (0.0, 0.5), (0.25, -0.25),
+            d,
             alice_vectors=(vectors[0], vectors[1]),
             bob_vectors=(vectors[2], vectors[3]),
         )
         shifted = MeasurementPhases(
-            d, (0.0, 0.5), (0.25, -0.25),
+            d,
             alice_vectors=(vectors[0] + shifts[0], vectors[1] + shifts[1]),
             bob_vectors=(vectors[2] + shifts[2], vectors[3] + shifts[3]),
         )

@@ -4,6 +4,40 @@ import qudit_bell
 from qudit_bell import cli, expressions, local_models, optimize, quantum
 
 
+# The public surface, module by module.  A name is exported when a command
+# or a cross-check route uses it; test oracles live in conftest.
+PUBLIC_NAMES = {
+    expressions: [
+        "DISTRIBUTION_ATOL", "FAMILIES", "SCHEMA_VERSION", "BellExpression",
+        "CrossCheckError", "JointDistribution", "build_expression", "correlator",
+        "evaluate", "evaluate_via_correlators", "shift_interval", "shift_weights",
+    ],
+    local_models: [
+        "BRUTEFORCE_MAX_DIMENSION", "ENUMERATION_CAP", "EnumerationCapError",
+        "LocalBounds", "check_enumeration_cap", "local_bound_bruteforce",
+        "local_bound_cases", "local_bounds",
+    ],
+    optimize: [
+        "OptimizationProblem", "OptimizationResult", "maximize", "objective",
+        "write_trace_csv",
+    ],
+    quantum: [
+        "REFERENCE_ALICE_SLOPES", "REFERENCE_BOB_SLOPES", "REPRODUCTION_RTOL",
+        "FamilyProfile", "MeasurementPhases", "QuantumSetup", "asymptotic_value",
+        "born_rule_distribution", "catalan_constant", "closed_form_distribution",
+        "family_profile", "noise_threshold", "ordered_shifts", "quantum_correlator",
+        "quantum_correlators", "quantum_value", "quantum_value_I",
+        "quantum_value_I3", "reproduction_table",
+    ],
+}
+
+
+def test_each_module_exports_exactly_its_pinned_names():
+    for module, names in PUBLIC_NAMES.items():
+        assert module.__all__ == names, module.__name__
+    assert len(qudit_bell.__all__) == 44
+
+
 def test_root_exports_every_module_name_once():
     modules = (expressions, local_models, optimize, quantum)
     expected = [name for module in modules for name in module.__all__]

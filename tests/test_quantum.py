@@ -26,7 +26,6 @@ from qudit_bell import (
     local_bound_bruteforce,
     noise_threshold,
     ordered_shifts,
-    point_mass_distribution,
     quantum_correlator,
     quantum_correlators,
     quantum_value,
@@ -36,7 +35,7 @@ from qudit_bell import (
     shift_interval,
 )
 from qudit_bell.expressions import FAMILIES, JointDistribution
-from qudit_bell.local_models import DeterministicStrategy
+from conftest import DeterministicStrategy, point_mass_distribution, uniform_distribution
 
 dims = st.integers(min_value=2, max_value=12)
 
@@ -72,38 +71,50 @@ def mixed_distribution(d, p):
 # ---------------------------------------------------------------- phases
 
 
-def test_reference_phases_slopes():
-    phases = MeasurementPhases.reference(4)
-    assert phases.alice_slopes == (0.0, 0.5)
-    assert phases.bob_slopes == (0.25, -0.25)
-    np.testing.assert_allclose(
-        phases.alice_phase(1), (2 * math.pi / 4) * 0.5 * np.arange(4), atol=0
-    )
-    np.testing.assert_allclose(
-        phases.bob_phase(0), (2 * math.pi / 4) * 0.25 * np.arange(4), atol=0
-    )
+def test_reference_phase_vectors():
+    for d in (2, 3, 4, 7, 64):
+        phases = MeasurementPhases.reference(d)
+        for vectors, getter, slopes in (
+            (phases.alice_vectors, phases.alice_phase, (0.0, 0.5)),
+            (phases.bob_vectors, phases.bob_phase, (0.25, -0.25)),
+        ):
+            for setting, slope in enumerate(slopes):
+                expected = (2 * math.pi / d) * slope * np.arange(d)
+                assert vectors[setting].tobytes() == expected.tobytes()
+                assert getter(setting) is vectors[setting]
+                assert not vectors[setting].flags.writeable
 
 
-def test_explicit_phase_vectors_override_slopes():
-    vec = (np.arange(3.0), np.zeros(3))
-    phases = MeasurementPhases(3, (0.0, 0.5), (0.25, -0.25), alice_vectors=vec)
+def test_explicit_phase_vectors():
+    alice = [np.arange(3.0), np.zeros(3)]
+    bob = ([0.5, 1.0, 1.5], (2.0, 2.0, 2.0))
+    phases = MeasurementPhases(3, alice_vectors=alice, bob_vectors=bob)
+    alice[0][0] = 9.0  # the phases hold their own copy
     np.testing.assert_array_equal(phases.alice_phase(0), np.arange(3.0))
     np.testing.assert_array_equal(phases.alice_phase(1), np.zeros(3))
-    # bob still follows its slopes
-    np.testing.assert_allclose(
-        phases.bob_phase(1), (2 * math.pi / 3) * -0.25 * np.arange(3), atol=0
-    )
+    np.testing.assert_array_equal(phases.bob_phase(0), [0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(phases.bob_phase(1), [2.0, 2.0, 2.0])
+    for vec in (*phases.alice_vectors, *phases.bob_vectors):
+        assert not vec.flags.writeable
 
 
 def test_phase_vector_validation():
+    zeros = (np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
-        MeasurementPhases(1)
+        MeasurementPhases(1, alice_vectors=(np.zeros(1),) * 2, bob_vectors=(np.zeros(1),) * 2)
     with pytest.raises(ValueError):
-        MeasurementPhases(3, (0.0, 0.5), (0.25, -0.25), alice_vectors=(np.zeros(2), np.zeros(3)))
+        MeasurementPhases(3, alice_vectors=(np.zeros(2), np.zeros(3)), bob_vectors=zeros)
     with pytest.raises(ValueError):
-        MeasurementPhases(
-            3, (0.0, 0.5), (0.25, -0.25), bob_vectors=(np.full(3, np.nan), np.zeros(3))
-        )
+        MeasurementPhases(3, alice_vectors=zeros, bob_vectors=(np.full(3, np.nan), np.zeros(3)))
+    with pytest.raises(ValueError, match="one phase vector per setting"):
+        MeasurementPhases(3, alice_vectors=zeros, bob_vectors=(np.zeros(3),))
+    phases = MeasurementPhases(3, alice_vectors=zeros, bob_vectors=zeros)
+    for getter in (phases.alice_phase, phases.bob_phase):
+        with pytest.raises(ValueError, match="^setting must be 0 or 1, got 2$"):
+            getter(2)
+    for d in (0, 1):  # checked before the phases divide by d
+        with pytest.raises(ValueError, match=f"^dimension must be >= 2, got {d}$"):
+            MeasurementPhases.reference(d)
 
 
 def test_setup_validation():
@@ -130,7 +141,8 @@ def test_born_matches_closed_form():
 
 
 def test_zero_phases_give_perfect_correlation_d2():
-    phases = MeasurementPhases(2, (0.0, 0.0), (0.0, 0.0))
+    zeros = (np.zeros(2), np.zeros(2))
+    phases = MeasurementPhases(2, alice_vectors=zeros, bob_vectors=zeros)
     dist = born_rule_distribution(QuantumSetup.maximally_entangled(2, phases=phases))
     for a in (0, 1):
         for b in (0, 1):
@@ -229,7 +241,10 @@ def test_ordered_shifts_match_the_alternating_walk():
 
 def test_quantum_correlators_equal_the_scalar_formula_bit_for_bit():
     for d in (*range(2, 65), 1000, 8192):
-        expected = [(c, quantum_correlator(c, d)) for c in ordered_shifts(d)]
+        expected = [
+            (c, 1.0 / (2.0 * d * d * math.sin(math.pi * (c + 0.25) / d) ** 2))
+            for c in ordered_shifts(d)
+        ]
         got = quantum_correlators(d)
         assert [(c, q.hex()) for c, q in got] == [(c, q.hex()) for c, q in expected], d
 
@@ -351,7 +366,7 @@ def test_family_profile_bounds_and_noise_values_match_independent_routes():
             expr = build_expression(family, d)
             value, bound, uniform = family_profile(family, d)
             assert local_bound_bruteforce(expr)[0] == bound
-            assert evaluate(expr, JointDistribution.uniform(d)) == pytest.approx(
+            assert evaluate(expr, uniform_distribution(d)) == pytest.approx(
                 uniform, abs=1e-12
             )
             assert value > bound
