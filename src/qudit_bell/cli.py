@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -73,11 +74,12 @@ BOUND_MAX_DIMENSION = 4096
 THRESHOLD_MAX_DIMENSION = 2 ** 20
 
 # `optimize` replays its best point through the dense Born-rule table, about
-# 141 bytes times d^2, and advances its restarts in lockstep, about 500 bytes
-# per restart and search parameter (tracemalloc: 445 at d = 1000 with 104
-# restarts, 483 at d = 200 with 600, 514 at d = 20 with 6000).  The two caps
-# hold these near 141 and 260 MiB, under 0.5 GiB together; past either,
-# `optimize` exits 2 before computing anything.
+# 113 bytes times d^2 (tracemalloc at d = 1000 and 1024), and advances its
+# restarts in lockstep, about 500 bytes per restart and search parameter
+# (tracemalloc: 445 at d = 1000 with 104 restarts, 483 at d = 200 with 600,
+# 514 at d = 20 with 6000).  The two caps hold these near 113 and 260 MiB,
+# under 0.5 GiB together; past either, `optimize` exits 2 before computing
+# anything.
 OPTIMIZE_MAX_DIMENSION = 1024
 OPTIMIZE_MAX_SEARCH_SIZE = 2 ** 19
 
@@ -221,10 +223,32 @@ def _output_dir() -> Path:
 
 
 def _write_file(path: Path, write) -> None:
-    """Create the parent directory and call ``write(path)``; map I/O failures to exit 2."""
+    """Create the parent directory and write ``path`` whole or not at all.
+
+    ``write`` fills a temporary file beside the target, which then
+    replaces it, so a failure leaves any existing file untouched and no
+    temporary behind; a replaced file keeps its permission bits.  A
+    device or pipe is written in place.  I/O failures map to exit 2.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            write(path)
+            return
+        target = Path(os.path.realpath(path))
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            write(temporary)
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            os.replace(temporary, target)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -108,13 +108,42 @@ class JointDistribution:
         d = self.dimension
         _check_dimension(d)
         table = _readonly_array(self.table, (2, 2, d, d), "table")
-        if float(table.min()) < -DISTRIBUTION_ATOL:
-            raise ValueError(f"negative probability entry {table.min()}")
-        pair_sums = table.sum(axis=(2, 3))
-        worst = float(np.max(np.abs(pair_sums - 1.0)))
-        if worst > DISTRIBUTION_ATOL:
-            raise ValueError(f"setting-pair totals deviate from 1 by {worst}")
+        _check_probabilities(table)
         object.__setattr__(self, "table", table)
+
+
+def _check_probabilities(table: np.ndarray) -> None:
+    if float(table.min()) < -DISTRIBUTION_ATOL:
+        raise ValueError(f"negative probability entry {table.min()}")
+    pair_sums = table.sum(axis=(2, 3))
+    worst = float(np.max(np.abs(pair_sums - 1.0)))
+    if worst > DISTRIBUTION_ATOL:
+        raise ValueError(f"setting-pair totals deviate from 1 by {worst}")
+
+
+def _own_distribution(d: int, table: np.ndarray) -> JointDistribution:
+    """A distribution over a (2, 2, d, d) table its caller has just built.
+
+    The table is held by nothing else.  It gets the constructor's
+    probability checks (no negative entry, each setting pair sums to 1)
+    and is handed over read-only, without the copy that
+    `JointDistribution` makes of a caller's array.
+    """
+    _check_probabilities(table)
+    table.setflags(write=False)
+    return _hand_over(JointDistribution, dimension=d, table=table)
+
+
+def _hand_over(cls, **fields):
+    """A frozen dataclass instance over fields its caller has just built.
+
+    ``__post_init__`` does not run, so the fields are neither checked nor
+    copied; the caller has checked them and set its arrays read-only.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +209,7 @@ def build_expression(family: str, d: int) -> BellExpression:
     outcomes = np.arange(d)
     coeff = shift_weights(family, d)[:, :, (outcomes[:, None] - outcomes[None, :]) % d]
     coeff.setflags(write=False)
-    expr = object.__new__(BellExpression)
-    for name, value in (("dimension", d), ("family", family), ("coefficients", coeff)):
-        object.__setattr__(expr, name, value)
-    return expr
+    return _hand_over(BellExpression, dimension=d, family=family, coefficients=coeff)
 
 
 def _check_setting(value: int, name: str) -> None:

@@ -10,8 +10,10 @@ be found by enumeration.
 Alice's outcomes (a1, a2) are fixed, Bob's outcomes b1 and b2 enter
 separate terms, so the maximum over the d^4 strategies is a maximum over
 d^2 pairs of two independent maxima over d: O(d^3) time and memory, never
-the d^4 value table.  It returns the maximum and the number of
-strategies that attain it, and lists none of them.
+the d^4 value table.  Each half's sums are laid out Bob's outcome first,
+one (a1, a2) slab per outcome, in int16 whenever the sums fit and in
+int64 otherwise.  It returns the maximum and the number of strategies
+that attain it, and lists none of them.
 
 For the Id family a second, independent route exists: a strategy only
 enters through the canonical shifts realised around the measurement
@@ -49,8 +51,8 @@ __all__ = [
 
 ENUMERATION_CAP = 10_000_000
 
-# The brute force holds about 18 bytes times d^3 (133 MiB at d = 200), about
-# 450 MiB at this d; past it no cap admits the enumeration.
+# The brute force holds about 3.2 bytes times d^3 (24.7 MiB at d = 200), about
+# 81 MiB at this d (tracemalloc); past it no cap admits the enumeration.
 BRUTEFORCE_MAX_DIMENSION = 300
 
 # Two routes computing the same exact rational must agree to roundoff.
@@ -97,30 +99,53 @@ def local_bound_bruteforce(
     the maximum takes a single float division.  With (a1, a2) fixed, b1
     only meets ``t00[a1] + t10[a2]`` and b2 only ``t01[a1] + t11[a2]``,
     so the maximum is that of the (a1, a2) table ``max_b1(left) +
-    max_b2(right)``, and the count sums (#b1 at the left maximum) x
-    (#b2 at the right maximum) over the winning pairs.  O(d^3) time and
-    memory; no strategy is listed.
+    max_b2(right)``, and the count is the dot product of (#b1 at the
+    left maximum) and (#b2 at the right maximum) over the winning pairs.
+    Each half is one (b, a1, a2) table reduced over b, built in int16
+    when twice the largest |numerator| is below 2**15 (every built-in
+    family up to `BRUTEFORCE_MAX_DIMENSION`, where it is at most d - 1)
+    and in int64 otherwise.  O(d^3) time and memory, about 3 bytes
+    times d^3 in int16; no strategy is listed.
     """
     d = expr.dimension
     check_enumeration_cap(d, cap)
     scaled = expr.coefficients * (d - 1)
     t = np.rint(scaled)
+    top = float(np.abs(t).max())
+    scaled -= t
     # float64 holds integers exactly only below 2**53
-    if not np.all((np.abs(scaled - t) <= 1e-6) & (np.abs(t) < 2**53)):
+    if not (float(np.abs(scaled).max()) <= 1e-6 and top < 2**53):
         raise ValueError(
             f"coefficients must be integer multiples of 1/(d-1) = 1/{d - 1} "
             "for an exact enumeration"
         )
-    t = t.astype(np.int64)
-    left = t[0, 0][:, None, :] + t[1, 0][None, :, :]    # (a1, a2, b1)
-    right = t[0, 1][:, None, :] + t[1, 1][None, :, :]   # (a1, a2, b2)
-    left_best, right_best = left.max(axis=-1), right.max(axis=-1)
-    left_ties = (left == left_best[..., None]).sum(axis=-1)
-    right_ties = (right == right_best[..., None]).sum(axis=-1)
-    pair_best = left_best + right_best
+    # (setting pair, b, a): each Bob outcome a contiguous row
+    t = np.ascontiguousarray(
+        t.transpose(0, 1, 3, 2), dtype=np.int16 if 2 * top < 2**15 else np.int64
+    )
+    sums = np.empty((d, d, d), dtype=t.dtype)
+    left_best, left_ties = _best_and_ties(t[0, 0], t[1, 0], sums)     # over b1
+    right_best, right_ties = _best_and_ties(t[0, 1], t[1, 1], sums)   # over b2
+    pair_best = np.add(left_best, right_best, dtype=np.int64)
     best = pair_best.max()
-    count = (left_ties * right_ties)[pair_best == best].sum()
+    winners = pair_best == best
+    count = np.dot(left_ties[winners].astype(np.int64), right_ties[winners])
     return int(best) / (d - 1), int(count)
+
+
+def _best_and_ties(
+    first: np.ndarray, second: np.ndarray, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum over b of ``first[b, a1] + second[b, a2]`` and its tie count.
+
+    ``sums`` is the (b, a1, a2) buffer, one contiguous (a1, a2) slab per
+    Bob outcome, so both reductions run slab by slab over axis 0.
+    """
+    np.add(first[:, :, None], second[:, None, :], out=sums)
+    best = np.maximum.reduce(sums)
+    # at most d <= BRUTEFORCE_MAX_DIMENSION ties: int16 counts
+    ties = np.add.reduce(sums == best, axis=0, dtype=np.int16)
+    return best, ties
 
 
 def local_bound_cases(d: int) -> tuple[float, set[float]]:

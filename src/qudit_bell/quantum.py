@@ -38,6 +38,7 @@ from .expressions import (
     _check_dimension,
     _check_family,
     _check_setting,
+    _own_distribution,
     shift_interval,
 )
 
@@ -184,7 +185,7 @@ def born_rule_distribution(setup: QuantumSetup) -> JointDistribution:
             amplitudes = weighted @ fourier / d
             class_prob = np.abs(amplitudes) ** 2
             table[a, b] = class_prob[class_index]
-    return JointDistribution(dimension=d, table=table)
+    return _own_distribution(d, table)
 
 
 def closed_form_distribution(d: int) -> JointDistribution:
@@ -203,7 +204,7 @@ def closed_form_distribution(d: int) -> JointDistribution:
                 2.0 * d ** 3 * np.sin(np.pi * (levels + alpha + beta) / d) ** 2
             )
             table[a, b] = class_prob[class_index]
-    return JointDistribution(dimension=d, table=table)
+    return _own_distribution(d, table)
 
 
 # `quantum_value`'s route: golden files pin its digits, and `threshold` needs

@@ -20,6 +20,7 @@ from qudit_bell import (
     shift_interval,
     shift_weights,
 )
+from qudit_bell.expressions import _own_distribution
 from conftest import (
     canonical_shift,
     random_distribution,
@@ -307,6 +308,35 @@ def test_expression_copies_a_callers_array():
         assert np.array_equal(expr.coefficients, expected)
         assert not expr.coefficients.flags.writeable
         owner[0, 0, 0, 0] = expected[0, 0, 0, 0]
+
+
+def test_distribution_copies_a_callers_array():
+    owner = np.full((2, 2, 3, 3), 1 / 9)
+    view = owner.view()
+    view.setflags(write=False)
+    for given in (owner, view):
+        dist = JointDistribution(3, given)
+        owner[0, 0, 0, 0] = 0.5
+        assert np.all(dist.table == 1 / 9)
+        assert not dist.table.flags.writeable
+        owner[0, 0, 0, 0] = 1 / 9
+
+
+def test_a_fresh_table_is_checked_and_handed_over_without_a_copy():
+    table = np.full((2, 2, 3, 3), 1 / 9)
+    dist = _own_distribution(3, table)
+    assert dist.dimension == 3 and dist.table is table
+    assert not table.flags.writeable
+    negative = np.full((2, 2, 2, 2), 0.25)
+    negative[0, 0, 0, 0], negative[0, 0, 1, 1] = -0.1, 0.6
+    for bad, message in (
+        (negative, "^negative probability entry -0.1$"),
+        (np.zeros((2, 2, 2, 2)), "^setting-pair totals deviate from 1 by 1.0$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            JointDistribution(2, bad)
+        with pytest.raises(ValueError, match=message):
+            _own_distribution(2, bad.copy())
 
 
 def test_uniform_constructor_normalized():

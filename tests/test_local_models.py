@@ -270,6 +270,21 @@ def test_bruteforce_matches_oracle_on_scaled_integer_tensors():
             # few distinct entries: many ties
             numerators = rng.integers(-1, 2, size=(2, 2, d, d))
         assert_matches_oracle(BellExpression(d, "Id", numerators / max(d - 1, 1)))
+    # non-circulant tensors past the families' sizes
+    for d in (13, 19, 26, 33, 40):
+        numerators = rng.integers(-3 * d, 3 * d + 1, size=(2, 2, d, d))
+        assert_matches_oracle(BellExpression(d, "Id", numerators / (d - 1)))
+    # the sums are narrow below a largest |numerator| of 2**14 and wide from it
+    for top in (2**14 - 1, 2**14):
+        numerators = rng.integers(-top, top + 1, size=(2, 2, 9, 9))
+        # Bob's outcome 0 meets top + top in one half
+        numerators[:, rng.integers(2), :, 0] = top
+        assert_matches_oracle(BellExpression(9, "Id", numerators / 8))
+    # numerators near 2**40; d - 1 a power of two keeps the coefficients exact
+    for d in (5, 17, 33):
+        numerators = 2**40 - rng.integers(0, 3, size=(2, 2, d, d))
+        numerators *= rng.choice([-1, 1], size=(2, 2, d, d))
+        assert_matches_oracle(BellExpression(d, "Id", numerators / (d - 1)))
 
 
 @pytest.mark.parametrize("family", ["I", "I3", "Id"])
@@ -306,7 +321,19 @@ def test_bruteforce_peak_memory_at_the_cap():
     finally:
         tracemalloc.stop()
     assert result == (2.0, 1_727_936)
-    assert peak < 8 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_bruteforce_peak_memory_past_the_default_cap():
+    expr = build_expression("Id", 200)
+    tracemalloc.start()
+    try:
+        result = local_bound_bruteforce(expr, cap=200**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2.0, 270_680_000)
+    assert peak < 40 * 2**20
 
 
 def test_case_analysis_bound_and_spectrum():
