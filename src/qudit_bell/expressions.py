@@ -177,23 +177,32 @@ def shift_weights(family: str, d: int) -> np.ndarray:
     P(A1 = B1 - k - 1), P(B1 = A2 - k), P(A2 = B2 - k - 1),
     P(B2 = A1 - k - 1); below, each term is written as its difference
     class A - B.  ``Id`` sums brackets 0 .. floor(d/2)-1, ``I3`` is
-    bracket 0, and ``I`` is the added half of bracket 0.  Weights of
-    coinciding terms add in term order, and each is formed as a single
-    division by d-1 so equal-magnitude entries are bitwise equal.  The
-    array is read-only.
+    bracket 0, and ``I`` is the added half of bracket 0.  As k grows,
+    each term's class runs over contiguous residues (k, -k-1, -k and k+1
+    mod d), so it is one slice of the bracket weights w or of their
+    reverse, two for -k, which wraps past 0.  No two terms of one setting
+    pair share a class at any d, so no weights add; each is formed as a
+    single division by d-1, so equal-magnitude entries are bitwise equal.
+    The array is read-only.
     """
     _check_dimension(d)
     _check_family(family)
 
+    count = d // 2 if family == "Id" else 1
+    w = (d - 1 - 2 * np.arange(count)) / (d - 1)
     weights = np.zeros((2, 2, d))
-    for k in range(d // 2 if family == "Id" else 1):
-        w = (d - 1 - 2 * k) / (d - 1)
-        # (alice_setting, bob_setting, A - B, weight)
-        terms = [(0, 0, k, w), (1, 0, -k - 1, w), (1, 1, k, w), (0, 1, -k, w)]
-        if family != "I":
-            terms += [(0, 0, -k - 1, -w), (1, 0, k, -w), (1, 1, -k - 1, -w), (0, 1, k + 1, -w)]
-        for a, b, shift, weight in terms:
-            weights[a, b, shift % d] += weight
+    # P(A1 = B1 + k), P(B1 = A2 + k + 1), P(A2 = B2 + k), P(B2 = A1 + k)
+    weights[0, 0, :count] = w
+    weights[1, 0, d - count:] = w[::-1]
+    weights[1, 1, :count] = w
+    weights[0, 1, 0] = w[0]
+    weights[0, 1, d - count + 1:] = w[:0:-1]
+    if family != "I":
+        # P(A1 = B1 - k - 1), P(B1 = A2 - k), P(A2 = B2 - k - 1), P(B2 = A1 - k - 1)
+        weights[0, 0, d - count:] = -w[::-1]
+        weights[1, 0, :count] = -w
+        weights[1, 1, d - count:] = -w[::-1]
+        weights[0, 1, 1:count + 1] = -w
     weights.setflags(write=False)
     return weights
 

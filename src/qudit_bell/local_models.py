@@ -10,10 +10,13 @@ be found by enumeration.
 Alice's outcomes (a1, a2) are fixed, Bob's outcomes b1 and b2 enter
 separate terms, so the maximum over the d^4 strategies is a maximum over
 d^2 pairs of two independent maxima over d: O(d^3) time and memory, never
-the d^4 value table.  Each half's sums are laid out Bob's outcome first,
-one (a1, a2) slab per outcome, in int16 whenever the sums fit and in
-int64 otherwise.  It returns the maximum and the number of strategies
-that attain it, and lists none of them.
+the d^4 value table.  When the tensor is shift-invariant, as every
+built-in family's is, adding one constant to all four outcomes keeps a
+strategy's value, so only a1 = 0 is enumerated and the count is scaled
+by d: O(d^2).  Each half's sums are laid out Bob's outcome first, one
+(a1, a2) slab per outcome, in int16 whenever the sums fit and in int64
+otherwise.  It returns the maximum and the number of strategies that
+attain it, and lists none of them.
 
 For the Id family a second, independent route exists: a strategy only
 enters through the canonical shifts realised around the measurement
@@ -51,8 +54,10 @@ __all__ = [
 
 ENUMERATION_CAP = 10_000_000
 
-# The brute force holds about 3.2 bytes times d^3 (24.7 MiB at d = 200), about
-# 81 MiB at this d (tracemalloc); past it no cap admits the enumeration.
+# The brute force takes O(d^2) memory on a shift-invariant tensor (every
+# built-in family's: 8.2 MiB at this d) and about 3.2 bytes times d^3 on any
+# other (24.7 MiB at d = 200, about 81 MiB at this d; tracemalloc); past it no
+# cap admits the enumeration.
 BRUTEFORCE_MAX_DIMENSION = 300
 
 # Two routes computing the same exact rational must agree to roundoff.
@@ -67,7 +72,9 @@ def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
     """Raise `EnumerationCapError` when the d^4 strategies exceed ``cap``.
 
     A ``cap`` that admits a d past `BRUTEFORCE_MAX_DIMENSION` raises too,
-    since the enumeration's O(d^3) memory would not fit.
+    since the enumeration of a tensor that is not shift-invariant takes
+    O(d^3) memory, which would not fit; the check sees only d, so it
+    applies to every tensor.
     `local_bound_bruteforce` raises through it; `local_bounds` runs it
     first, so it builds no coefficient tensor that the check rejects.
     """
@@ -104,12 +111,20 @@ def local_bound_bruteforce(
     Each half is one (b, a1, a2) table reduced over b, built in int16
     when twice the largest |numerator| is below 2**15 (every built-in
     family up to `BRUTEFORCE_MAX_DIMENSION`, where it is at most d - 1)
-    and in int64 otherwise.  O(d^3) time and memory, about 3 bytes
-    times d^3 in int16; no strategy is listed.
+    and in int64 otherwise.
+
+    When every setting pair's table satisfies t[a + 1, b + 1] == t[a, b]
+    (mod d), tested cell by cell on the tensor given, adding one
+    constant to all four outcomes keeps every strategy's value.  Each
+    such orbit has d members, exactly one with a1 = 0, so only a1 = 0 is
+    enumerated and the count is multiplied by d: O(d^2) time and memory.
+    Any other tensor takes the full O(d^3), about 3 bytes times d^3 in
+    int16.  No strategy is listed.
     """
     d = expr.dimension
     check_enumeration_cap(d, cap)
-    scaled = expr.coefficients * (d - 1)
+    # (setting pair, b, a): each Bob outcome a contiguous row
+    scaled = np.multiply(expr.coefficients.transpose(0, 1, 3, 2), d - 1, order="C")
     t = np.rint(scaled)
     top = float(np.abs(t).max())
     scaled -= t
@@ -119,18 +134,22 @@ def local_bound_bruteforce(
             f"coefficients must be integer multiples of 1/(d-1) = 1/{d - 1} "
             "for an exact enumeration"
         )
-    # (setting pair, b, a): each Bob outcome a contiguous row
-    t = np.ascontiguousarray(
-        t.transpose(0, 1, 3, 2), dtype=np.int16 if 2 * top < 2**15 else np.int64
-    )
-    sums = np.empty((d, d, d), dtype=t.dtype)
-    left_best, left_ties = _best_and_ties(t[0, 0], t[1, 0], sums)     # over b1
-    right_best, right_ties = _best_and_ties(t[0, 1], t[1, 1], sums)   # over b2
+    t = t.astype(np.int16 if 2 * top < 2**15 else np.int64)
+    # shift invariance is t[b + 1, a + 1] == t[b, a] (mod d) in every table;
+    # `shifted` holds t[b - 1, a - 1]
+    rotated = np.concatenate((t[..., -1:], t[..., :-1]), axis=-1)
+    shifted = np.concatenate((rotated[..., -1:, :], rotated[..., :-1, :]), axis=-2)
+    invariant = np.array_equal(t, shifted)
+    # one strategy per orbit, the one with a1 = 0, and d strategies per orbit
+    a1_values = 1 if invariant else d
+    sums = np.empty((d, a1_values, d), dtype=t.dtype)
+    left_best, left_ties = _best_and_ties(t[0, 0, :, :a1_values], t[1, 0], sums)    # over b1
+    right_best, right_ties = _best_and_ties(t[0, 1, :, :a1_values], t[1, 1], sums)  # over b2
     pair_best = np.add(left_best, right_best, dtype=np.int64)
     best = pair_best.max()
     winners = pair_best == best
     count = np.dot(left_ties[winners].astype(np.int64), right_ties[winners])
-    return int(best) / (d - 1), int(count)
+    return int(best) / (d - 1), int(count) * (d // a1_values)
 
 
 def _best_and_ties(
@@ -174,15 +193,16 @@ def local_bound_cases(d: int) -> tuple[float, set[float]]:
     # `filled` marks where S lies in the pair's interval sum
     filled = ((first <= sums) & (sums <= last)).reshape(d, 6)
     table = (c - 2 * sums).reshape(d, 6)
-    low, high = int(table[filled].min()), int(table[filled].max())
-    partner = (-1 - rho) % d
-    totals = table[:, :, None] + table[partner][:, None, :]
-    both = filled[:, :, None] & filled[partner][:, None, :]
-    # a presence table over the totals' range; np.unique would import
-    # numpy.ma on first use
-    present = np.zeros(2 * (high - low) + 1, dtype=bool)
-    present[totals[both] - 2 * low] = True
-    attained = np.flatnonzero(present) + 2 * low
+    # the partner residue -1 - rho (mod d) is row d - 1 - rho
+    totals = table[:, :, None] + table[::-1, None, :]
+    both = filled[:, :, None] & filled[::-1, None, :]
+    # a presence table over [-4(d + 1), 4(d + 1)]: a filled entry is
+    # N(r) + N(s) with |N| <= d + 1, so |total| <= 4(d + 1); np.unique
+    # would import numpy.ma on first use
+    span = 4 * (d + 1)
+    present = np.zeros(2 * span + 1, dtype=bool)
+    present[totals[both] + span] = True
+    attained = np.flatnonzero(present) - span
     attainable = {int(n) / (d - 1) for n in attained}
     return int(attained[-1]) / (d - 1), attainable
 

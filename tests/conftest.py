@@ -3,7 +3,9 @@
 The deterministic-strategy helpers below write out the objects of the
 paper's local-model argument one strategy at a time.  The library only
 counts strategies and reads shift numerators, so these are the tests'
-independent reference for both bound routes.
+independent reference for both bound routes.  `shift_weights_loop` writes
+a family's shift weights term by term, the reference for the library's
+slice form.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,24 @@ def random_distribution(d: int, rng: np.random.Generator) -> JointDistribution:
 def uniform_distribution(d: int) -> JointDistribution:
     """The fully random distribution: every cell 1/d^2."""
     return JointDistribution(dimension=d, table=np.full((2, 2, d, d), 1.0 / (d * d)))
+
+
+def shift_weights_loop(family: str, d: int) -> np.ndarray:
+    """A family's (2, 2, d) shift weights, one bracket and one term at a time.
+
+    Bracket k has weight w = 1 - 2k/(d-1), a single division; each term
+    adds its weight to its difference class A - B (mod d) in term order.
+    """
+    weights = np.zeros((2, 2, d))
+    for k in range(d // 2 if family == "Id" else 1):
+        w = (d - 1 - 2 * k) / (d - 1)
+        # (alice_setting, bob_setting, A - B, weight)
+        terms = [(0, 0, k, w), (1, 0, -k - 1, w), (1, 1, k, w), (0, 1, -k, w)]
+        if family != "I":
+            terms += [(0, 0, -k - 1, -w), (1, 0, k, -w), (1, 1, -k - 1, -w), (0, 1, k + 1, -w)]
+        for a, b, shift, weight in terms:
+            weights[a, b, shift % d] += weight
+    return weights
 
 
 def canonical_shift(x: int, d: int) -> int:

@@ -24,6 +24,7 @@ from qudit_bell.expressions import _own_distribution
 from conftest import (
     canonical_shift,
     random_distribution,
+    shift_weights_loop,
     term_weight,
     uniform_distribution,
 )
@@ -176,6 +177,13 @@ def test_build_expression_equals_closure_oracle_bit_for_bit(family):
         assert np.array_equal(weights, coefficients[:, :, :, 0]), d
         assert np.array_equal(np.signbit(weights), np.signbit(coefficients[:, :, :, 0])), d
         assert not weights.flags.writeable
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shift_weights_equal_the_term_loop_byte_for_byte(family):
+    for d in [*range(2, 301), 1024, 4097, 65536]:
+        expected = shift_weights_loop(family, d)
+        assert shift_weights(family, d).tobytes() == expected.tobytes(), d
 
 
 def test_Id_at_d2_is_affine_in_I(rng):

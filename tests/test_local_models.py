@@ -106,6 +106,13 @@ def residue_table_oracle(d):
     return int(attained[-1]) / (d - 1), {int(n) / (d - 1) for n in attained}
 
 
+def shift_invariant(coefficients):
+    """Whether every setting pair's table has c[k + 1, l + 1] == c[k, l] (mod d)."""
+    d = coefficients.shape[-1]
+    step = (np.arange(d) + 1) % d
+    return np.array_equal(coefficients[:, :, step][:, :, :, step], coefficients)
+
+
 def assert_matches_oracle(expr):
     best, count = local_bound_bruteforce(expr)
     expected_best, expected_maximizers = bruteforce_oracle(expr)
@@ -280,11 +287,65 @@ def test_bruteforce_matches_oracle_on_scaled_integer_tensors():
         # Bob's outcome 0 meets top + top in one half
         numerators[:, rng.integers(2), :, 0] = top
         assert_matches_oracle(BellExpression(9, "Id", numerators / 8))
+    # circulant tensors that are no family's take the orbit path
+    for d in (2, 3, 5, 8, 13):
+        outcomes = np.arange(d)
+        classes = (outcomes[:, None] - outcomes[None, :]) % d
+        numerators = rng.integers(-2, 3, size=(2, 2, d))[:, :, classes]
+        assert shift_invariant(numerators)
+        assert_matches_oracle(BellExpression(d, "Id", numerators / max(d - 1, 1)))
     # numerators near 2**40; d - 1 a power of two keeps the coefficients exact
     for d in (5, 17, 33):
         numerators = 2**40 - rng.integers(0, 3, size=(2, 2, d, d))
         numerators *= rng.choice([-1, 1], size=(2, 2, d, d))
         assert_matches_oracle(BellExpression(d, "Id", numerators / (d - 1)))
+
+
+@pytest.mark.parametrize("family", ["I", "I3", "Id"])
+def test_bruteforce_is_blind_to_an_outcome_relabelling(family):
+    # relabelling one measurement's outcomes permutes the strategies, so it
+    # keeps (max, count); one that is not a shift breaks the shift
+    # invariance and forces the full enumeration.  Every permutation of two
+    # outcomes is a shift, so d starts at 3.
+    rng = np.random.default_rng(26)
+    for d in range(3, 25):
+        expr = build_expression(family, d)
+        assert shift_invariant(expr.coefficients)
+        perm = rng.permutation(d)
+        while np.array_equal((perm - perm[0]) % d, np.arange(d)):
+            perm = rng.permutation(d)
+        coeff = np.empty_like(expr.coefficients)
+        setting = d % 2
+        if d % 4 < 2:   # Alice's measurement A_{setting+1}
+            coeff[1 - setting] = expr.coefficients[1 - setting]
+            coeff[setting][:, perm, :] = expr.coefficients[setting]
+        else:           # Bob's measurement B_{setting+1}
+            coeff[:, 1 - setting] = expr.coefficients[:, 1 - setting]
+            coeff[:, setting][:, :, perm] = expr.coefficients[:, setting]
+        relabelled = BellExpression(d, family, coeff)
+        assert not shift_invariant(relabelled.coefficients)
+        assert local_bound_bruteforce(relabelled) == local_bound_bruteforce(expr), d
+
+
+@pytest.mark.parametrize("family", ["I", "I3", "Id"])
+def test_bruteforce_one_cell_off_a_family_matches_oracle(family):
+    rng = np.random.default_rng(2626)
+    for d in range(2, 9):
+        for a, b in np.ndindex(2, 2):
+            coeff = build_expression(family, d).coefficients.copy()
+            k, l = rng.integers(d, size=2)
+            coeff[a, b, k, l] += rng.choice([-1, 1]) / (d - 1)
+            expr = BellExpression(d, family, coeff)
+            assert not shift_invariant(expr.coefficients)
+            assert_matches_oracle(expr)
+    # Toeplitz tables, c[k + 1, l + 1] == c[k, l] for k, l < d - 1 only
+    for d in range(2, 9):
+        outcomes = np.arange(d)
+        diagonals = rng.integers(-d, d + 1, size=(2, 2, 2 * d - 1))
+        numerators = diagonals[:, :, outcomes[:, None] - outcomes[None, :] + d - 1]
+        expr = BellExpression(d, "Id", numerators / max(d - 1, 1))
+        assert not shift_invariant(expr.coefficients)
+        assert_matches_oracle(expr)
 
 
 @pytest.mark.parametrize("family", ["I", "I3", "Id"])
@@ -312,28 +373,33 @@ def test_bruteforce_rejects_coefficients_off_the_integer_grid():
         local_bound_bruteforce(BellExpression(3, "Id", np.full((2, 2, 3, 3), 2.0**60)))
 
 
-def test_bruteforce_peak_memory_at_the_cap():
-    expr = build_expression("Id", 56)
+def bruteforce_with_peak(d, cap):
+    """`local_bound_bruteforce` on Id at d, and the call's tracemalloc peak in bytes."""
+    expr = build_expression("Id", d)
     tracemalloc.start()
     try:
-        result = local_bound_bruteforce(expr)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = local_bound_bruteforce(expr, cap=cap)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_bruteforce_peak_memory_at_the_cap():
+    result, peak = bruteforce_with_peak(56, cap=local_models.ENUMERATION_CAP)
     assert result == (2.0, 1_727_936)
     assert peak < 2 * 2**20
 
 
 def test_bruteforce_peak_memory_past_the_default_cap():
-    expr = build_expression("Id", 200)
-    tracemalloc.start()
-    try:
-        result = local_bound_bruteforce(expr, cap=200**4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = bruteforce_with_peak(200, cap=200**4)
     assert result == (2.0, 270_680_000)
-    assert peak < 40 * 2**20
+    assert peak < 8 * 2**20
+
+
+def test_bruteforce_peak_memory_at_its_ceiling():
+    result, peak = bruteforce_with_peak(300, cap=300**4)
+    assert result == (2.0, 1_363_530_000)
+    assert peak < 16 * 2**20
 
 
 def test_case_analysis_bound_and_spectrum():
