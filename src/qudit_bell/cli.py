@@ -32,7 +32,7 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,12 +113,38 @@ def _fmt(value) -> str:
 _CONTAINERS = (dict, list, tuple)
 
 
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+# The text ``json.dumps`` writes for a scalar of each exact type, as its C
+# encoder writes it.  Subclasses, numpy scalars and unsupported types are
+# left to ``json.dumps``, which gives their text or raises their TypeError.
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a scalar, through `_JSON_SCALARS` when its type is there."""
+    encode = _JSON_SCALARS.get(type(value))
+    return json.dumps(value) if encode is None else encode(value)
+
+
 def _json_column(values: Sequence) -> tuple[str, Sequence] | None:
     """A %-directive and its arguments that print each value as ``json.dumps``.
 
     None when a value is a container.  Exact ints print with ``%d`` and
     finite exact floats with ``%r``; every other scalar (bools, None,
-    strings, NaN, float subclasses) is converted by ``json.dumps`` itself.
+    strings, NaN, float subclasses) is converted by `_json_scalar`.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -127,7 +153,7 @@ def _json_column(values: Sequence) -> tuple[str, Sequence] | None:
         return "%r", values
     if any(issubclass(kind, _CONTAINERS) for kind in kinds):
         return None
-    return "%s", list(map(json.dumps, values))
+    return "%s", list(map(_json_scalar, values))
 
 
 def _json_rows(items: Sequence, indent: str) -> str | None:
@@ -148,7 +174,7 @@ def _json_rows(items: Sequence, indent: str) -> str | None:
             return None
         inner = indent + "  "
         members = ",\n".join(
-            f"{inner}{json.dumps(key).replace('%', '%%')}: {directive}"
+            f"{inner}{_json_scalar(key).replace('%', '%%')}: {directive}"
             for key, (directive, _) in zip(keys, fields)
         )
         row = f"{indent}{{\n{members}\n{indent}}}"
@@ -168,15 +194,17 @@ def _json_text(value, indent: str = "") -> str:
     ``json.dumps`` switches to its Python encoder whenever ``indent`` is
     set.  Here containers are walked in Python, but each array of scalars
     or of like records is formatted by one %-template over a flat tuple,
-    at C speed; `_json_column` keeps every scalar's text as ``json.dumps``
-    writes it.  Object keys must be strings.
+    at C speed.  Keys and every other scalar are encoded by `_json_scalar`,
+    which looks up the exact type in `_JSON_SCALARS` and leaves any other
+    to ``json.dumps``, so each scalar's text is the one ``json.dumps``
+    writes.  Object keys must be strings.
     """
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
         members = ",\n".join(
-            f"{inner}{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()
+            f"{inner}{_json_scalar(key)}: {_json_text(item, inner)}" for key, item in value.items()
         )
         return f"{{\n{members}\n{indent}}}"
     if isinstance(value, (list, tuple)):
@@ -187,7 +215,7 @@ def _json_text(value, indent: str = "") -> str:
         if rows is None:
             rows = ",\n".join(inner + _json_text(item, inner) for item in value)
         return f"[\n{rows}\n{indent}]"
-    return json.dumps(value)
+    return _json_scalar(value)
 
 
 def _parse_dimension(text: str) -> int:
@@ -559,8 +587,13 @@ def cmd_reproduce(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (building it costs about 1 ms)."""
+def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name.
+
+    Built once per process (building them costs about 1 ms).  The mapping
+    is the ``choices`` of the ``add_subparsers`` action, so it holds the
+    very parsers the top-level one hands a command's arguments to.
+    """
     parser = argparse.ArgumentParser(
         prog="qudit-bell",
         description="Bell expressions for two-party, two-setting, d-outcome scenarios",
@@ -614,13 +647,38 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(reproduce, family=False)
     reproduce.set_defaults(handler=cmd_reproduce)
 
-    return parser
+    return parser, subparsers.choices
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: help, usage errors and every argv not led by a command."""
+    return _parsers()[0]
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code.
+
+    An argv led by a command name is parsed by that command's own parser
+    alone: the top-level parser would first classify every token against
+    its own options, then hand the same tokens to that parser, doubling
+    the parse time.  Tokens the command does not take are reported by the
+    top-level parser, in argparse's words.  Any other argv (empty, help,
+    an unknown command, an option first) goes to the top-level parser,
+    which prints help or a usage error; every argv that runs a command is
+    led by its name.
+    """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

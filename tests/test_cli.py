@@ -1,15 +1,19 @@
 """Command-line interface: formats, exit codes, cross-checks."""
 
+import contextlib
 import csv
+import enum
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +95,141 @@ def test_bad_noise_p(capsys):
     code, _, err = run(capsys, "threshold", "-d", "3", "--noise-p", "1.5")
     assert code == 2
     assert "noise-p" in err
+
+
+# ---------------------------------------------------------------- dispatch
+
+
+def full_parse_main(argv):
+    """The CLI as it ran before dispatch: the top-level parser parses every argv."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else cli.EXIT_USAGE
+    try:
+        report, status = args.handler(args)
+        cli._emit(args, report)
+    except cli.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except cli.CrossCheckError as exc:
+        print(f"cross-check failure: {exc}", file=sys.stderr)
+        return cli.EXIT_CROSS_CHECK
+    return status
+
+
+def outcome(entry, argv):
+    """(exit code, stdout, stderr) of ``entry(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_dispatch_matches_full_parse(argv, directory):
+    """`cli.main` and `full_parse_main` print and exit alike on ``argv``.
+
+    ``{dir}`` in a token names ``directory``, which also receives default
+    trace files, so both sides write the same paths.
+    """
+    argv = [token.replace("{dir}", str(directory)) for token in argv]
+    with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(directory)}):
+        assert outcome(cli.main, argv) == outcome(full_parse_main, argv), argv
+
+
+COMMANDS = ("bound", "quantum", "threshold", "sweep", "optimize", "reproduce")
+# Each option's values, good ones first; every command takes the first value of
+# the options it has.
+OPTION_VALUES = {
+    "-d": ("3", "2", "5", "2..4", "4..2", "1", "x", ""),
+    "--dimension": ("4", "1", "x"),
+    "--family": ("Id", "I", "I3", "X"),
+    "--format": ("json", "csv", "table", "xml"),
+    "--output": ("{dir}/report.txt", "{dir}"),
+    "--cap": ("625", "1", "0", "x"),
+    "--noise-p": ("0.9", "0.3", "1.5", "-0.1", "x"),
+    "--seed": ("7", "0", "x"),
+    "--budget": ("40", "2", "x"),
+    "--restarts": ("3", "1", "0"),
+    "--trace-out": ("{dir}/trace.csv",),
+}
+STRAY_TOKENS = (
+    "--", "-h", "--help", "--vary-state-weights", "--bogus", "-x", "extra", "--fam",
+    "--dim=3", "-d3", "-d=4", "--format=json", "bound", "3",
+)
+OPTIONS = st.sampled_from(sorted(OPTION_VALUES))
+ARGV_TOKENS = st.one_of(
+    OPTIONS.map(lambda option: [option, OPTION_VALUES[option][0]]),
+    OPTIONS.flatmap(
+        lambda option: st.sampled_from(OPTION_VALUES[option]).map(lambda value: [option, value])
+    ),
+    st.sampled_from(STRAY_TOKENS).map(lambda token: [token]),
+)
+ARGVS = st.builds(
+    lambda head, groups: [*head, *(token for group in groups for token in group)],
+    st.sampled_from([[name, "-d", "3"] for name in COMMANDS] + [[name] for name in COMMANDS]
+                    + [["frobnicate"], []]),
+    st.lists(ARGV_TOKENS, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGVS)
+def test_dispatch_matches_a_full_parse(argv):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_dispatch_matches_full_parse(argv, directory)
+
+
+MALFORMED_AND_HELP_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["frobnicate", "-d", "3"],
+    ["bound"],
+    ["threshold", "--family", "I"],
+    ["bound", "-d"],
+    ["threshold", "-d", "3", "--noise-p"],
+    ["quantum", "-d", "3", "extra"],
+    ["reproduce", "extra", "more"],
+    ["bound", "-d", "3", "--bogus"],
+    ["quantum", "-d", "3", "--family", "Id"],
+    ["threshold", "-d", "3", "--family", "X"],
+    ["bound", "-d", "3", "--format", "xml"],
+    ["bound", "--", "-d", "3"],
+    ["bound", "-d", "3", "--"],
+    ["-d", "3", "bound"],
+    ["--format", "json", "quantum", "-d", "3"],
+    ["bound", "-d=4"],
+    ["quantum", "-d4", "--format", "csv"],
+    ["threshold", "--dimension=4", "--format", "json"],
+    ["bound", "-d", "4", "--fam", "I", "--format", "json"],
+    ["threshold", "-d", "3", "-h", "--noise-p", "0.9"],
+    ["sweep", "--help"],
+    ["optimize", "-d", "2", "--budget", "40", "--restarts", "2", "--seed", "3",
+     "--format", "json", "--trace-out", "{dir}/trace.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_AND_HELP_ARGVS, ids=" ".join)
+def test_dispatch_matches_a_full_parse_on_fixed_argvs(argv, tmp_path):
+    assert_dispatch_matches_full_parse(argv, tmp_path)
+
+
+def test_a_command_argv_skips_the_top_level_parse(capsys, tmp_path):
+    argvs = [
+        ["bound", "-d", "3"],
+        ["quantum", "-d", "3"],
+        ["threshold", "-d", "3", "--noise-p", "0.9"],
+        ["sweep", "-d", "2..3"],
+        ["optimize", "-d", "2", "--budget", "40", "--restarts", "2",
+         "--trace-out", str(tmp_path / "trace.csv")],
+        ["reproduce"],
+    ]
+    refusal = AssertionError("the top-level parser parsed a command argv")
+    with mock.patch.object(cli._build_parser(), "parse_args", side_effect=refusal):
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0, argv
 
 
 # ---------------------------------------------------------------- bound
@@ -325,7 +464,7 @@ def test_quantum_dimension_cap(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- json emitter
 
-JSON_KEYS = st.text(max_size=8) | st.sampled_from(["shift", '"q"', "%d", "100%", "a\\b", "\u00e9"])
+JSON_KEYS = st.text() | st.sampled_from(["shift", '"q"', "%d", "100%", "a\\b", "\u00e9"])
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -373,6 +512,18 @@ def test_json_emitter_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
+class Real(float):
+    """A float subclass: encoded by ``json.dumps``, not the exact-type table."""
+
+
+class Shift(enum.IntEnum):
+    THREE = 3
+
+
+class Text(str):
+    """A str subclass: encoded by ``json.dumps``, not the exact-type table."""
+
+
 def test_json_emitter_matches_json_dumps_on_fixed_cases():
     cases = [
         {}, [], {"a": []}, {"a": {}}, [{}], [{}, {}], [[]],
@@ -382,9 +533,60 @@ def test_json_emitter_matches_json_dumps_on_fixed_cases():
         [True, 1, 2], [1.0, np.float64(2.5), -0.0], [math.nan, 1.0],
         {"rows": [{"d": 2, "value": 2.8284271247461903, "ok": True, "name": None}]},
         [{"%d": 1, '"': "%s"}, {"%d": 2, '"': "\u00e9"}],
+        # Top-level scalars of every type, exact and not.
+        "text", 0, -7, 2 ** 70, -(2 ** 70), 1.5, -0.0, math.nan, math.inf, -math.inf,
+        True, False, None, np.float64(2.5), np.float64(math.nan), Real(0.1), Real(-math.inf),
+        Shift.THREE, Text("q\"uote"),
+        {"ok": True, "failed": False, "missing": None, "big": 2 ** 70, "zero": -0.0},
+        {"real": Real(2.5), "shift": Shift.THREE, "nan": math.nan, "inf": [math.inf, -math.inf]},
+        # Keys that json.dumps escapes.
+        {'"': 1, "\\": 2, "\x00\x1f\t\n\x7f": 3, "caf\u00e9 \u20ac": 4, "\U0001f600": 5,
+         "\ud800": 6, "%s": 7},
+        [{'"\\\U0001f600': 1.5, "\x01": "\u00e9"}, {'"\\\U0001f600': 2.5, "\x01": ""}],
     ]
     for value in cases:
         assert cli._json_text(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [np.int64(3)], {"d": np.int64(3)}, [{"d": np.int64(3)}], {"d": [1, np.int64(3)]},
+])
+def test_json_emitter_raises_json_dumps_type_error(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        cli._json_text(value)
+    assert str(raised.value) == str(expected.value) == "Object of type int64 is not JSON serializable"
+
+
+def test_json_emitter_encodes_exact_scalars_without_json_dumps(monkeypatch):
+    payload = {
+        "schema_version": 1, "command": "threshold", "family": "Id", "\u00e9\"\\\x00": "\U0001f600",
+        "big": 2 ** 70, "value": 2.9105448080720775, "zero": -0.0, "special": [math.nan, math.inf],
+        "flags": [True, False, None, 1, "x"], "rows": [{"d": 2, "ok": True, "name": None}],
+    }
+    expected = json.dumps(payload, indent=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called on an exact scalar")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dumps", refuse)
+        text = cli._json_text(payload)
+    assert text == expected
+    argvs = [
+        ["threshold", "-d", "5", "--noise-p", "0.9"],
+        ["bound", "-d", "4"],
+        ["quantum", "-d", "4"],
+        ["sweep", "-d", "2..4"],
+        ["reproduce"],
+    ]
+    for argv in argvs:
+        argv += ["--format", "json"]
+        expected = outcome(full_parse_main, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dumps", refuse)
+            assert outcome(cli.main, argv) == expected, argv
 
 
 CSV_CELLS = st.one_of(
