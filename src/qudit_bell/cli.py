@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .expressions import FAMILIES, SCHEMA_VERSION, CrossCheckError, _check_dimension
-from .local_models import ENUMERATION_CAP, EnumerationCapError, local_bounds
-from .optimize import OptimizationProblem, maximize, write_trace_csv
+from .local_models import ENUMERATION_CAP, EnumerationCapError, check_enumeration_cap, local_bounds
+from .optimize import OptimizationProblem, maximize
 from .quantum import (
     REPRODUCTION_RTOL,
     family_profile,
@@ -104,10 +104,8 @@ class Report:
     csv_rows: Callable[[], Sequence[Sequence]]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -250,10 +248,11 @@ def _output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _write_file(path: Path, write) -> None:
-    """Create the parent directory and write ``path`` whole or not at all.
+def _write_file(path: Path, text: str) -> None:
+    """Create the parent directory and write ``text`` to ``path`` whole or not at all.
 
-    ``write`` fills a temporary file beside the target, which then
+    The text is written untranslated (``newline=""``, so CSV keeps its
+    CRLF line ends) to a temporary file beside the target, which then
     replaces it, so a failure leaves any existing file untouched and no
     temporary behind; a replaced file keeps its permission bits.  A
     device or pipe is written in place.  I/O failures map to exit 2.
@@ -265,12 +264,12 @@ def _write_file(path: Path, write) -> None:
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            write(path)
+            path.write_text(text, newline="")
             return
         target = Path(os.path.realpath(path))
         temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         try:
-            write(temporary)
+            temporary.write_text(text, newline="")
             if mode is not None:
                 os.chmod(temporary, stat.S_IMODE(mode))
             os.replace(temporary, target)
@@ -315,7 +314,7 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
         text = "\n".join(report.human()) + "\n"
     if args.output:
         path = Path(args.output)
-        _write_file(path, lambda target: target.write_text(text))
+        _write_file(path, text)
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
@@ -452,14 +451,19 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     lo, hi = _parse_dimension_range(args.dimension)
-    if args.family != "Id":
-        raise UsageError("sweep reports the Id family; other families are not supported")
     _check_max_dimension(hi, BOUND_MAX_DIMENSION, "sweep takes O(d^2) time, about 4 s at the cap")
+    family = args.family
     rows = []
-    for d in range(lo, hi + 1):
-        bound = local_bounds("Id", d).bound
-        profile = family_profile("Id", d)
-        rows.append((d, bound, profile.quantum_value, profile.noise_threshold))
+    try:
+        # Only Id has a case analysis; every other family's bound is a brute force.
+        if family != "Id":
+            check_enumeration_cap(hi)
+        for d in range(lo, hi + 1):
+            bound = local_bounds(family, d).bound
+            profile = family_profile(family, d)
+            rows.append((d, bound, profile.quantum_value, profile.noise_threshold))
+    except EnumerationCapError as exc:
+        raise UsageError(str(exc)) from exc
     header = ("d", "local_bound", "quantum_value", "noise_threshold")
 
     def human() -> list[str]:
@@ -470,7 +474,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
         return lines
 
     return Report(
-        lambda: _base_payload("sweep", family="Id", rows=[dict(zip(header, row)) for row in rows]),
+        lambda: _base_payload(
+            "sweep", family=family, rows=[dict(zip(header, row)) for row in rows]
+        ),
         human,
         lambda: [header, *rows],
     ), EXIT_OK
@@ -503,7 +509,8 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
     trace_path = Path(args.trace_out) if args.trace_out else (
         _output_dir() / f"optimize_trace_{args.family}_d{d}.csv"
     )
-    _write_file(trace_path, lambda target: write_trace_csv(result, target))
+    trace_rows = [("evaluation_index", "incumbent_value"), *result.trace]
+    _write_file(trace_path, _csv_text(trace_rows))
 
     def payload() -> dict:
         return _base_payload(
@@ -648,11 +655,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentP
     reproduce.set_defaults(handler=cmd_reproduce)
 
     return parser, subparsers.choices
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser: help, usage errors and every argv not led by a command."""
-    return _parsers()[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

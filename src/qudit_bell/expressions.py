@@ -34,6 +34,7 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ class CrossCheckError(RuntimeError):
 
 
 def _check_dimension(d: int) -> None:
+    """Raise `ValueError` unless d is a Python or numpy integer of at least 2."""
+    try:
+        operator.index(d)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {d!r}") from None
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
 
@@ -83,6 +89,7 @@ def shift_interval(d: int) -> tuple[int, int]:
 
 
 def _readonly_array(values, shape: tuple[int, ...], name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``, checked for its shape and for finite entries."""
     arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -113,11 +120,15 @@ class JointDistribution:
 
 
 def _check_probabilities(table: np.ndarray) -> None:
-    if float(table.min()) < -DISTRIBUTION_ATOL:
-        raise ValueError(f"negative probability entry {table.min()}")
+    # NaN propagates through min and sum and fails both comparisons.
+    low = float(table.min())
+    if not low >= -DISTRIBUTION_ATOL:
+        if np.isnan(low):
+            raise ValueError("table contains non-finite entries")
+        raise ValueError(f"negative probability entry {low}")
     pair_sums = table.sum(axis=(2, 3))
     worst = float(np.max(np.abs(pair_sums - 1.0)))
-    if worst > DISTRIBUTION_ATOL:
+    if not worst <= DISTRIBUTION_ATOL:
         raise ValueError(f"setting-pair totals deviate from 1 by {worst}")
 
 
@@ -125,8 +136,8 @@ def _own_distribution(d: int, table: np.ndarray) -> JointDistribution:
     """A distribution over a (2, 2, d, d) table its caller has just built.
 
     The table is held by nothing else.  It gets the constructor's
-    probability checks (no negative entry, each setting pair sums to 1)
-    and is handed over read-only, without the copy that
+    probability checks (no negative or NaN entry, each setting pair sums
+    to 1) and is handed over read-only, without the copy that
     `JointDistribution` makes of a caller's array.
     """
     _check_probabilities(table)
@@ -215,8 +226,9 @@ def build_expression(family: str, d: int) -> BellExpression:
     here and held by nothing else, so it is handed over read-only, without
     the copy that `BellExpression` makes of a caller's array.
     """
+    weights = shift_weights(family, d)
     outcomes = np.arange(d)
-    coeff = shift_weights(family, d)[:, :, (outcomes[:, None] - outcomes[None, :]) % d]
+    coeff = weights[:, :, (outcomes[:, None] - outcomes[None, :]) % d]
     coeff.setflags(write=False)
     return _hand_over(BellExpression, dimension=d, family=family, coefficients=coeff)
 
@@ -240,12 +252,16 @@ def correlator(dist: JointDistribution, alice_setting: int, bob_setting: int, sh
     return float(dist.table[alice_setting, bob_setting, rows, (rows - shift) % d].sum())
 
 
-def evaluate(expr: BellExpression, dist: JointDistribution) -> float:
-    """Value of a Bell expression on a joint distribution."""
+def _check_same_dimension(expr: BellExpression, dist: JointDistribution) -> None:
     if expr.dimension != dist.dimension:
         raise ValueError(
             f"dimension mismatch: expression d={expr.dimension}, distribution d={dist.dimension}"
         )
+
+
+def evaluate(expr: BellExpression, dist: JointDistribution) -> float:
+    """Value of a Bell expression on a joint distribution."""
+    _check_same_dimension(expr, dist)
     return float(np.sum(expr.coefficients * dist.table))
 
 
@@ -256,10 +272,7 @@ def evaluate_via_correlators(expr: BellExpression, dist: JointDistribution) -> f
     from difference-class probabilities instead of contracting the
     coefficient tensor.
     """
-    if expr.dimension != dist.dimension:
-        raise ValueError(
-            f"dimension mismatch: expression d={expr.dimension}, distribution d={dist.dimension}"
-        )
+    _check_same_dimension(expr, dist)
 
     def alice_leads(a: int, b: int, shift: int) -> float:
         return correlator(dist, a, b, shift)

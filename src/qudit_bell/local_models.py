@@ -36,6 +36,7 @@ import numpy as np
 from .expressions import (
     BellExpression,
     CrossCheckError,
+    _check_dimension,
     _check_family,
     build_expression,
     shift_interval,
@@ -81,8 +82,8 @@ def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
     total = d ** 4
     if total > cap:
         raise EnumerationCapError(
-            f"enumerating {d}^4 = {total} strategies exceeds the cap {cap}; "
-            "use local_bound_cases for large dimensions"
+            f"enumerating {d}^4 = {total} strategies exceeds the cap {cap}; a larger cap "
+            f"admits d up to {BRUTEFORCE_MAX_DIMENSION}, and local_bound_cases bounds Id at any d"
         )
     if d > BRUTEFORCE_MAX_DIMENSION:
         raise EnumerationCapError(
@@ -98,7 +99,7 @@ def local_bound_bruteforce(
 
     Returns ``(max_value, maximizer_count)``: the maximum and the number
     of strategies that attain it.  Raises `EnumerationCapError` when d^4
-    exceeds ``cap`` (use `local_bound_cases` for large d), and
+    exceeds ``cap`` (`local_bound_cases` bounds Id at any d), and
     `ValueError` when a coefficient is not an integer multiple of
     1/(d-1), as every built-in family's is.
 
@@ -231,6 +232,7 @@ def local_bounds(family: str, d: int, cap: int = ENUMERATION_CAP) -> LocalBounds
     by more than `CROSS_CHECK_ATOL`.
     """
     _check_family(family)
+    _check_dimension(d)
     brute = None
     if family != "Id" or d ** 4 <= cap:
         check_enumeration_cap(d, cap)

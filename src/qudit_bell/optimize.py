@@ -41,18 +41,16 @@ builds its phase factors exp(i [phi_a(j) + chi_b(j)]) incrementally:
 each restart keeps the (4, d) factors of its current point, and a trial
 recomputes only the two that a moved phase enters (`_trial_builder`), or
 none for a moved weight.  Exponentials are elementwise, so the factors
-equal those computed from scratch bit for bit.  Start points and
-`objective` compute them from scratch (`_phase_factors`).
+equal those computed from scratch bit for bit.  Start points compute
+them from scratch (`_phase_factors`).
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -70,8 +68,6 @@ __all__ = [
     "OptimizationProblem",
     "OptimizationResult",
     "maximize",
-    "objective",
-    "write_trace_csv",
 ]
 
 VERIFICATION_ATOL = 1e-9
@@ -233,8 +229,12 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[..., np.ndarray]:
     """Compile a problem into its batched circulant-form value kernel.
 
     The returned function maps a (K, P) block of flat parameter vectors
-    (layout of `objective`, unchecked) to their K expression values
-    without building a setup or a probability table.  It takes the
+    to their K expression values without building a setup or a
+    probability table.  A vector holds the phases of levels 1..d-1 for
+    Alice's settings 0 and 1, then Bob's settings 0 and 1 (level 0 is
+    pinned to zero); then, with ``vary_state_weights``, d raw state
+    weights (absolute values, renormalised; an all-zero block means
+    equal weights).  The block is not checked.  The function takes the
     block's `_phase_factors` as an optional second argument, computing
     them when they are not given.  The amplitudes of the whole block are
     one (4 K, d) matrix product and the final sum is a row-wise
@@ -266,24 +266,6 @@ def _value_kernel(problem: OptimizationProblem) -> Callable[..., np.ndarray]:
         return np.add.reduce(parts, axis=-1)
 
     return values
-
-
-def objective(problem: OptimizationProblem, parameters) -> float:
-    """Expression value of the setup encoded by a flat parameter vector.
-
-    Layout: the phases of levels 1..d-1 for Alice's settings 0 and 1,
-    then Bob's settings 0 and 1 (level 0 is pinned to zero); then, with
-    ``vary_state_weights``, d raw state weights (absolute values,
-    renormalised internally; an all-zero block means equal weights).
-    """
-    params = np.asarray(parameters, dtype=float)
-    if params.shape != (problem.parameter_count,):
-        raise ValueError(
-            f"expected {problem.parameter_count} parameters, got shape {params.shape}"
-        )
-    if not np.all(np.isfinite(params)):
-        raise ValueError("parameters must be finite")
-    return float(_value_kernel(problem)(params[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,13 +458,3 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         improved=best_value > initial_value,
         evaluations=sum(restart.consumed for restart in restarts),
     )
-
-
-def write_trace_csv(result: OptimizationResult, path) -> None:
-    """Write the incumbent trace as CSV with round-trippable floats."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["evaluation_index", "incumbent_value"])
-        for index, value in result.trace:
-            writer.writerow([index, repr(value)])

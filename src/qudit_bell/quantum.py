@@ -39,6 +39,7 @@ from .expressions import (
     _check_family,
     _check_setting,
     _own_distribution,
+    _readonly_array,
     shift_interval,
 )
 
@@ -76,18 +77,9 @@ REPRODUCTION_RTOL = 5e-5
 def _phase_vectors(vectors, d: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     if len(vectors) != 2:
         raise ValueError(f"{name} needs one phase vector per setting, got {len(vectors)}")
-    out = []
-    for setting, vec in enumerate(vectors):
-        arr = np.array(vec, dtype=float)
-        if arr.shape != (d,):
-            raise ValueError(
-                f"{name}[{setting}] must have length {d}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name}[{setting}] must be finite")
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+    return tuple(
+        _readonly_array(vec, (d,), f"{name}[{setting}]") for setting, vec in enumerate(vectors)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +133,10 @@ class QuantumSetup:
     def __post_init__(self) -> None:
         d = self.dimension
         _check_dimension(d)
-        weights = np.array(self.state_weights, dtype=complex)
-        if weights.shape != (d,):
-            raise ValueError(f"state_weights must have length {d}, got {weights.shape}")
+        weights = _readonly_array(self.state_weights, (d,), "state_weights", dtype=complex)
         norm = float(np.sum(np.abs(weights) ** 2))
         if abs(norm - 1.0) > STATE_NORM_ATOL:
             raise ValueError(f"state weights have squared norm {norm}, expected 1")
-        weights.setflags(write=False)
         object.__setattr__(self, "state_weights", weights)
         if self.phases.dimension != d:
             raise ValueError(
@@ -157,6 +146,7 @@ class QuantumSetup:
     @classmethod
     def maximally_entangled(cls, d: int, phases: MeasurementPhases | None = None) -> "QuantumSetup":
         """Equal Schmidt weights 1/sqrt(d), reference phases by default."""
+        _check_dimension(d)
         return cls(
             dimension=d,
             state_weights=np.full(d, 1.0 / math.sqrt(d)),

@@ -26,10 +26,15 @@ import qudit_bell.quantum as quantum_module
 from qudit_bell import (
     FAMILIES,
     OptimizationProblem,
+    OptimizationResult,
+    QuantumSetup,
     build_expression,
     closed_form_distribution,
     evaluate,
+    family_profile,
+    local_bound_bruteforce,
     local_bound_cases,
+    maximize,
     noise_threshold,
     quantum_value,
 )
@@ -70,13 +75,8 @@ def test_bad_range(capsys):
     assert "range" in err
 
 
-def test_sweep_rejects_other_families(capsys):
-    code, _, err = run(capsys, "sweep", "-d", "2..3", "--family", "I")
-    assert code == 2
-
-
 def test_optimize_defaults_are_the_problem_defaults():
-    args = cli._build_parser().parse_args(["optimize", "-d", "2"])
+    args = cli._parsers()[0].parse_args(["optimize", "-d", "2"])
     problem = OptimizationProblem(dimension=2)
     assert (args.budget, args.restarts, args.seed) == (
         problem.budget, problem.restarts, problem.seed
@@ -84,11 +84,18 @@ def test_optimize_defaults_are_the_problem_defaults():
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parsers() is cli._parsers()
     code, out, _ = run(capsys, "threshold", "-d", "3", "--noise-p", "0.9", "--format", "json")
     assert code == 0 and "verdict" in json.loads(out)
     code, out, _ = run(capsys, "threshold", "-d", "3", "--format", "json")
     assert code == 0 and "verdict" not in json.loads(out)
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qudit-bell", "threshold", "-d", "3", "--format", "json"])
+    code = cli.main()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 3
 
 
 def test_bad_noise_p(capsys):
@@ -103,7 +110,7 @@ def test_bad_noise_p(capsys):
 def full_parse_main(argv):
     """The CLI as it ran before dispatch: the top-level parser parses every argv."""
     try:
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else cli.EXIT_USAGE
     try:
@@ -227,7 +234,7 @@ def test_a_command_argv_skips_the_top_level_parse(capsys, tmp_path):
         ["reproduce"],
     ]
     refusal = AssertionError("the top-level parser parsed a command argv")
-    with mock.patch.object(cli._build_parser(), "parse_args", side_effect=refusal):
+    with mock.patch.object(cli._parsers()[0], "parse_args", side_effect=refusal):
         for argv in argvs:
             assert run(capsys, *argv)[0] == 0, argv
 
@@ -325,15 +332,18 @@ def test_bound_past_the_cap_builds_no_expression(capsys, monkeypatch):
     assert calls == []
 
 
+PAST_THE_CAP_57 = (
+    "error: enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; a larger cap "
+    "admits d up to 300, and local_bound_cases bounds Id at any d\n"
+)
+
+
 def test_bound_family_I_past_the_cap_exits_2(capsys, monkeypatch):
     calls = count_expression_builds(monkeypatch)
     code, out, err = run(capsys, "bound", "-d", "57", "--family", "I")
     assert code == 2
     assert out == ""
-    assert err == (
-        "error: enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; "
-        "use local_bound_cases for large dimensions\n"
-    )
+    assert err == PAST_THE_CAP_57
     assert calls == []
 
 
@@ -794,6 +804,35 @@ def test_sweep_cross_checks_up_to_the_cap(capsys, monkeypatch):
     assert json.loads(out)["rows"][0]["local_bound"] == 2.0
 
 
+@pytest.mark.parametrize("family", ["I", "I3"])
+def test_sweep_rows_of_a_family_without_a_case_analysis(capsys, family):
+    code, out, _ = run(capsys, "sweep", "-d", "2..6", "--family", family, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == family
+    assert [row["d"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
+    for row in payload["rows"]:
+        d = row["d"]
+        profile = family_profile(family, d)
+        assert row == {
+            "d": d,
+            "local_bound": 3.0 if family == "I" else 2.0,
+            "quantum_value": profile.quantum_value,
+            "noise_threshold": profile.noise_threshold,
+        }
+        assert local_bound_bruteforce(build_expression(family, d))[0] == row["local_bound"]
+
+
+@pytest.mark.parametrize("family", ["I", "I3"])
+def test_sweep_family_past_the_cap_exits_2_before_any_row(capsys, monkeypatch, family):
+    calls = count_expression_builds(monkeypatch)
+    profiles = []
+    monkeypatch.setattr(cli, "family_profile", lambda *args: profiles.append(args))
+    code, out, err = run(capsys, "sweep", "-d", "2..57", "--family", family)
+    assert (code, out, err) == (2, "", PAST_THE_CAP_57)
+    assert calls == [] and profiles == []
+
+
 def test_sweep_single_dimension(capsys):
     code, out, _ = run(capsys, "sweep", "-d", "7", "--format", "json")
     assert code == 0
@@ -817,6 +856,45 @@ def test_optimize_writes_trace_and_reports(capsys, tmp_path):
     assert payload["trace_path"] == str(trace)
     header = trace.read_text().splitlines()[0]
     assert header == "evaluation_index,incumbent_value"
+
+
+def test_trace_csv_round_trip(capsys, tmp_path):
+    trace = tmp_path / "trace.csv"
+    argv = ("-d", "2", "--budget", "400", "--restarts", "2", "--seed", "1")
+    assert run(capsys, "optimize", *argv, "--trace-out", str(trace))[0] == 0
+    result = maximize(OptimizationProblem(dimension=2, budget=400, restarts=2, seed=1))
+    # the bytes csv.writer gives for the header and each (index, repr(value)) row
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["evaluation_index", "incumbent_value"])
+    writer.writerows([index, repr(value)] for index, value in result.trace)
+    text = trace.read_bytes().decode()
+    assert text == expected.getvalue()
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [(int(i), float(v)) for i, v in rows] == list(result.trace)
+
+
+def test_optimize_warns_when_the_reference_is_exceeded_at_fixed_weights(
+    capsys, tmp_path, monkeypatch
+):
+    def beyond_reference(problem):
+        setup = QuantumSetup.maximally_entangled(problem.dimension)
+        value = family_profile(problem.family, problem.dimension).quantum_value + 0.5
+        return OptimizationResult(
+            best_value=value, best_phases=setup.phases, best_state_weights=setup.state_weights,
+            trace=((1, value),), improved=False, evaluations=1,
+        )
+
+    monkeypatch.setattr(cli, "maximize", beyond_reference)
+    argv = ("optimize", "-d", "3", "--trace-out", str(tmp_path / "trace.csv"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "WARNING: search exceeded the reference value by 0.5; inspect the reported phases"
+    )
+    code, out, _ = run(capsys, *argv, "--vary-state-weights")
+    assert code == 0
+    assert "WARNING" not in out and "(difference 0.5)" in out
 
 
 def test_optimize_default_trace_respects_env_dir(capsys, tmp_path, monkeypatch):
@@ -1041,12 +1119,12 @@ def test_a_write_that_fails_halfway_leaves_the_old_file(capsys, tmp_path, monkey
     trace.write_text("old trace\n")
     trace.chmod(0o640)
 
-    def fail_halfway(result, path):
+    def fail_halfway(path, text, **kwargs):
         with open(path, "w") as handle:
             handle.write("evaluation_index,")
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "write_trace_csv", fail_halfway)
+    monkeypatch.setattr(Path, "write_text", fail_halfway)
     code, out, err = run(
         capsys, "optimize", "-d", "2", "--budget", "20", "--restarts", "1",
         "--trace-out", str(trace),

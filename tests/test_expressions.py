@@ -13,10 +13,23 @@ from qudit_bell import (
     FAMILIES,
     BellExpression,
     JointDistribution,
+    MeasurementPhases,
+    OptimizationProblem,
+    QuantumSetup,
     build_expression,
+    closed_form_distribution,
     correlator,
     evaluate,
     evaluate_via_correlators,
+    family_profile,
+    local_bound_cases,
+    local_bounds,
+    noise_threshold,
+    ordered_shifts,
+    quantum_correlators,
+    quantum_value,
+    quantum_value_I,
+    quantum_value_I3,
     shift_interval,
     shift_weights,
 )
@@ -45,6 +58,39 @@ def test_shift_interval_values():
 def test_shift_interval_rejects_small_d():
     with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
         shift_interval(1)
+
+
+DIMENSION_ENTRY_POINTS = {
+    "shift_interval": shift_interval,
+    "shift_weights": lambda d: shift_weights("Id", d),
+    "build_expression": lambda d: build_expression("I3", d),
+    "JointDistribution": lambda d: JointDistribution(d, np.full((2, 2, 2, 2), 0.25)),
+    "BellExpression": lambda d: BellExpression(d, "Id", np.zeros((2, 2, 2, 2))),
+    "MeasurementPhases": MeasurementPhases.reference,
+    "QuantumSetup": QuantumSetup.maximally_entangled,
+    "closed_form_distribution": closed_form_distribution,
+    "quantum_value": quantum_value,
+    "quantum_value_I": quantum_value_I,
+    "quantum_value_I3": quantum_value_I3,
+    "quantum_correlators": quantum_correlators,
+    "ordered_shifts": ordered_shifts,
+    "family_profile": lambda d: family_profile("Id", d),
+    "noise_threshold": noise_threshold,
+    "local_bound_cases": local_bound_cases,
+    "local_bounds": lambda d: local_bounds("I", d),
+    "OptimizationProblem": OptimizationProblem,
+}
+
+
+@pytest.mark.parametrize("entry", DIMENSION_ENTRY_POINTS)
+def test_a_dimension_must_be_an_integer(entry):
+    call = DIMENSION_ENTRY_POINTS[entry]
+    for bad in (2.5, 4.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+            call(bad)
+    call(np.int64(2))
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+        call(np.int32(1))
 
 
 @given(dims, st.integers(min_value=-100, max_value=100))
@@ -211,8 +257,10 @@ def test_uniform_distribution_values():
 
 
 def test_evaluate_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(build_expression("Id", 3), uniform_distribution(4))
+    message = "^dimension mismatch: expression d=3, distribution d=4$"
+    for route in (evaluate, evaluate_via_correlators):
+        with pytest.raises(ValueError, match=message):
+            route(build_expression("Id", 3), uniform_distribution(4))
 
 
 @settings(max_examples=60)
@@ -345,6 +393,15 @@ def test_a_fresh_table_is_checked_and_handed_over_without_a_copy():
             JointDistribution(2, bad)
         with pytest.raises(ValueError, match=message):
             _own_distribution(2, bad.copy())
+
+
+def test_a_nan_table_is_rejected_on_both_routes():
+    for cell in ((0, 0, 0, 0), (1, 1, 1, 0)):
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[cell] = np.nan
+        for build in (JointDistribution, _own_distribution):
+            with pytest.raises(ValueError, match="^table contains non-finite entries$"):
+                build(2, table.copy())
 
 
 def test_uniform_constructor_normalized():

@@ -35,6 +35,8 @@ CASES = {
     "threshold_Id_d3_noise": ("threshold", "-d", "3", "--noise-p", "0.5"),
     "sweep_2_16": ("sweep", "-d", "2..16"),
     "sweep_d7": ("sweep", "-d", "7"),
+    "sweep_I_2_8": ("sweep", "-d", "2..8", "--family", "I"),
+    "sweep_I3_2_8": ("sweep", "-d", "2..8", "--family", "I3"),
     "reproduce": ("reproduce",),
     **{
         f"optimize_Id_d{d}": ("optimize", "-d", str(d), "--budget", "400",

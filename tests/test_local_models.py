@@ -230,8 +230,8 @@ def test_enumeration_cap_check_is_the_bruteforce_gate():
     check_enumeration_cap(56)  # 56^4 = 9,834,496 fits under the default cap
     check_enumeration_cap(3, cap=81)
     message = (
-        "enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; "
-        "use local_bound_cases for large dimensions"
+        "enumerating 57^4 = 10556001 strategies exceeds the cap 10000000; a larger cap "
+        "admits d up to 300, and local_bound_cases bounds Id at any d"
     )
     with pytest.raises(EnumerationCapError) as direct:
         check_enumeration_cap(57)

@@ -16,9 +16,7 @@ from qudit_bell import (
     evaluate,
     evaluate_via_correlators,
     maximize,
-    objective,
     quantum_value,
-    write_trace_csv,
 )
 from qudit_bell.optimize import (
     CHUNK,
@@ -61,24 +59,8 @@ def test_objective_at_zero_parameters_is_local_bound():
     # the classical boundary
     for d in (2, 3, 5):
         problem = OptimizationProblem(dimension=d)
-        value = objective(problem, np.zeros(problem.parameter_count))
+        value = _value_kernel(problem)(np.zeros((1, problem.parameter_count)))[0]
         assert value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_objective_shape_check():
-    problem = OptimizationProblem(dimension=3)
-    with pytest.raises(ValueError):
-        objective(problem, np.zeros(3))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("position", [0, -1])
-def test_objective_rejects_non_finite_parameters(bad, position):
-    problem = OptimizationProblem(dimension=3, vary_state_weights=True)
-    params = np.full(problem.parameter_count, 0.5)
-    params[position] = bad  # first phase, last state weight
-    with pytest.raises(ValueError, match="finite"):
-        objective(problem, params)
 
 
 def test_objective_can_reach_reference_value():
@@ -90,7 +72,7 @@ def test_objective_can_reach_reference_value():
         [ref.alice_phase(0)[1:], ref.alice_phase(1)[1:],
          ref.bob_phase(0)[1:], ref.bob_phase(1)[1:]]
     )
-    assert objective(problem, params) == pytest.approx(quantum_value(d), abs=1e-12)
+    assert _value_kernel(problem)(params[None])[0] == pytest.approx(quantum_value(d), abs=1e-12)
 
 
 def test_gauge_invariance_of_born_values():
@@ -163,16 +145,6 @@ def test_maximize_improves_over_random_start():
     assert result.improved
 
 
-def test_trace_csv_round_trip(tmp_path):
-    result = maximize(OptimizationProblem(dimension=2, budget=400, restarts=2, seed=1))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "evaluation_index,incumbent_value"
-    parsed = [(int(i), float(v)) for i, v in (line.split(",") for line in lines[1:])]
-    assert parsed == list(result.trace)
-
-
 # ---------------------------------------------------------------- circulant form
 
 
@@ -206,7 +178,6 @@ def test_lean_value_matches_dense_born_rule():
                     )
                     value = values(params[None])[0]
                     assert value == pytest.approx(dense, abs=1e-12), (d, family)
-                    assert objective(problem, params) == value
                     cases += 1
     assert cases >= 300
 

@@ -123,6 +123,11 @@ def test_setup_validation():
         QuantumSetup(1, np.ones(1), MeasurementPhases.reference(2))
     with pytest.raises(ValueError):
         QuantumSetup(3, np.array([1.0, 1.0, 1.0]), MeasurementPhases.reference(3))
+    for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+        weights = np.full(3, 1 / math.sqrt(3), dtype=complex)
+        weights[1] = bad
+        with pytest.raises(ValueError, match="^state_weights contains non-finite entries$"):
+            QuantumSetup(3, weights, MeasurementPhases.reference(3))
     with pytest.raises(ValueError):
         QuantumSetup(
             3, np.full(3, 1 / math.sqrt(3)), MeasurementPhases.reference(4)
