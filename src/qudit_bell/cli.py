@@ -97,6 +97,14 @@ class Report:
     ``human`` the table lines (an entry may hold several lines) and
     ``csv_rows`` the CSV rows, header first.  CSV cells are strings, ints,
     bools or floats; ``csv`` writes a float as its ``repr``.
+
+    Two builders name each field once.  `_record_report` serves ``bound``,
+    ``threshold`` and ``optimize``: one dict of fields is the JSON after
+    the schema keys and, as ``key,value`` rows, the CSV, or a selection of
+    it.  ``bound``'s CSV is its non-None scalar fields, then one
+    ``attainable_i`` row per attainable value.  `_table_report` serves
+    ``sweep`` and ``reproduce``: one header names both the JSON rows' keys
+    and the CSV's columns.  ``quantum`` builds its own.
     """
 
     payload: Callable[[], dict]
@@ -326,30 +334,54 @@ def _base_payload(command: str, **extra) -> dict:
     return payload
 
 
+def _record_report(
+    command: str,
+    fields: dict,
+    human: Callable[[], list[str]],
+    csv_pairs: Sequence[tuple[str, object]] | None = None,
+) -> Report:
+    """A one-record report: JSON ``fields``, CSV ``csv_pairs`` (by default every field)."""
+    pairs = fields.items() if csv_pairs is None else csv_pairs
+    return Report(
+        lambda: _base_payload(command, **fields), human, lambda: [("key", "value"), *pairs]
+    )
+
+
+def _table_report(
+    command: str,
+    header: tuple[str, ...],
+    rows: Sequence[tuple],
+    human: Callable[[], list[str]],
+    **fields,
+) -> Report:
+    """A table report: JSON ``fields``, then ``rows`` keyed by ``header``; CSV header and rows."""
+    return Report(
+        lambda: _base_payload(command, **fields, rows=[dict(zip(header, row)) for row in rows]),
+        human,
+        lambda: [header, *rows],
+    )
+
+
 def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
     d = _parse_dimension(args.dimension)
     _check_max_dimension(d, BOUND_MAX_DIMENSION, "bound takes O(d) memory, 2.1 MiB at the cap")
     if args.cap < 1:
         raise UsageError(f"--cap must be >= 1, got {args.cap}")
     family = args.family
-    try:
-        bound, brute, cases = local_bounds(family, d, args.cap)
-    except EnumerationCapError as exc:
-        raise UsageError(str(exc)) from exc
+    bound, brute, cases = local_bounds(family, d, args.cap)
     brute_value, maximizer_count = brute or (None, None)
     cases_value, attainable = (cases[0], sorted(cases[1], reverse=True)) if cases else (None, None)
-
-    def payload() -> dict:
-        return _base_payload(
-            "bound",
-            family=family,
-            dimension=d,
-            local_bound=bound,
-            bruteforce_value=brute_value,
-            bruteforce_maximizers=maximizer_count,
-            case_value=cases_value,
-            attainable_values=attainable,
-        )
+    fields = {
+        "family": family,
+        "dimension": d,
+        "local_bound": bound,
+        "bruteforce_value": brute_value,
+        "bruteforce_maximizers": maximizer_count,
+        "case_value": cases_value,
+        "attainable_values": attainable,
+    }
+    csv_pairs = [(k, v) for k, v in fields.items() if v is not None and not isinstance(v, list)]
+    csv_pairs += [(f"attainable_{i}", v) for i, v in enumerate(attainable or ())]
 
     def human() -> list[str]:
         lines = [f"family {family}, d = {d}", f"local bound = {_fmt(bound)}"]
@@ -366,17 +398,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[Report, int]:
             lines.append(f"attainable deterministic values: {spectrum}")
         return lines
 
-    def csv_rows() -> list[list]:
-        rows = [["key", "value"], ["family", family], ["dimension", d], ["local_bound", bound]]
-        if brute_value is not None:
-            rows.append(["bruteforce_value", brute_value])
-            rows.append(["bruteforce_maximizers", maximizer_count])
-        if cases_value is not None:
-            rows.append(["case_value", cases_value])
-            rows += [[f"attainable_{i}", v] for i, v in enumerate(attainable)]
-        return rows
-
-    return Report(payload, human, csv_rows), EXIT_OK
+    return _record_report("bound", fields, human, csv_pairs), EXIT_OK
 
 
 def cmd_quantum(args: argparse.Namespace) -> tuple[Report, int]:
@@ -416,20 +438,20 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
     profile = family_profile(family, d)
     value, bound, _ = profile
     threshold = profile.noise_threshold
-    summary = [
-        ("family", family),
-        ("dimension", d),
-        ("quantum_value", value),
-        ("local_bound", bound),
-        ("noise_threshold", threshold),
-    ]
+    fields = {
+        "family": family,
+        "dimension": d,
+        "quantum_value": value,
+        "local_bound": bound,
+        "noise_threshold": threshold,
+    }
     p = args.noise_p
     if p is not None:
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"--noise-p must lie in [0, 1], got {p}")
         noisy = profile.noisy_value(p)
         verdict = "violated" if noisy > bound else "not violated"
-        summary += [("noise_p", p), ("noisy_value", noisy), ("verdict", verdict)]
+        fields.update(noise_p=p, noisy_value=noisy, verdict=verdict)
 
     def human() -> list[str]:
         lines = [
@@ -442,44 +464,30 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[Report, int]:
             lines.append(f"noisy value at p = {_fmt(p)}: {_fmt(noisy)} -> {verdict}")
         return lines
 
-    return Report(
-        lambda: _base_payload("threshold", **dict(summary)),
-        human,
-        lambda: [("key", "value"), *summary],
-    ), EXIT_OK
+    return _record_report("threshold", fields, human), EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     lo, hi = _parse_dimension_range(args.dimension)
     _check_max_dimension(hi, BOUND_MAX_DIMENSION, "sweep takes O(d^2) time, about 4 s at the cap")
     family = args.family
-    rows = []
-    try:
-        # Only Id has a case analysis; every other family's bound is a brute force.
-        if family != "Id":
-            check_enumeration_cap(hi)
-        for d in range(lo, hi + 1):
-            bound = local_bounds(family, d).bound
-            profile = family_profile(family, d)
-            rows.append((d, bound, profile.quantum_value, profile.noise_threshold))
-    except EnumerationCapError as exc:
-        raise UsageError(str(exc)) from exc
+    # Only Id has a case analysis; every other family's bound is a brute force.
+    if family != "Id":
+        check_enumeration_cap(hi)
     header = ("d", "local_bound", "quantum_value", "noise_threshold")
+    rows = []
+    for d in range(lo, hi + 1):
+        bound = local_bounds(family, d).bound
+        profile = family_profile(family, d)
+        rows.append((d, bound, profile.quantum_value, profile.noise_threshold))
 
     def human() -> list[str]:
-        lines = [f"{'d':>4}  {'local_bound':>12}  {'quantum_value':>14}  {'noise_threshold':>16}"]
-        lines += [
-            f"{d:>4}  {_fmt(b):>12}  {_fmt(q):>14}  {_fmt(t):>16}" for d, b, q, t in rows
+        template = "  ".join(f"{{:>{max(4, len(name) + 1)}}}" for name in header)
+        return [template.format(*header)] + [
+            template.format(*(_fmt(v) if isinstance(v, float) else v for v in row)) for row in rows
         ]
-        return lines
 
-    return Report(
-        lambda: _base_payload(
-            "sweep", family=family, rows=[dict(zip(header, row)) for row in rows]
-        ),
-        human,
-        lambda: [header, *rows],
-    ), EXIT_OK
+    return _table_report("sweep", header, rows, human, family=family), EXIT_OK
 
 
 def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
@@ -511,26 +519,24 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
     )
     trace_rows = [("evaluation_index", "incumbent_value"), *result.trace]
     _write_file(trace_path, _csv_text(trace_rows))
-
-    def payload() -> dict:
-        return _base_payload(
-            "optimize",
-            family=args.family,
-            dimension=d,
-            seed=args.seed,
-            budget=args.budget,
-            restarts=args.restarts,
-            vary_state_weights=args.vary_state_weights,
-            best_value=result.best_value,
-            reference_value=reference,
-            excess_over_reference=excess,
-            exceeds_reference=bool(excess > EXCEEDS_REFERENCE_ATOL),
-            improved=result.improved,
-            trace_path=str(trace_path),
-            best_alice_phases=[result.best_phases.alice_phase(s).tolist() for s in (0, 1)],
-            best_bob_phases=[result.best_phases.bob_phase(s).tolist() for s in (0, 1)],
-            best_state_weights=[abs(w) for w in result.best_state_weights.tolist()],
-        )
+    # (key, value, whether the CSV holds it); the JSON holds every field
+    entries = [
+        ("family", args.family, True),
+        ("dimension", d, True),
+        ("seed", args.seed, False),
+        ("budget", args.budget, False),
+        ("restarts", args.restarts, False),
+        ("vary_state_weights", args.vary_state_weights, False),
+        ("best_value", result.best_value, True),
+        ("reference_value", reference, True),
+        ("excess_over_reference", excess, True),
+        ("exceeds_reference", bool(excess > EXCEEDS_REFERENCE_ATOL), False),
+        ("improved", result.improved, True),
+        ("trace_path", str(trace_path), True),
+        ("best_alice_phases", [result.best_phases.alice_phase(s).tolist() for s in (0, 1)], False),
+        ("best_bob_phases", [result.best_phases.bob_phase(s).tolist() for s in (0, 1)], False),
+        ("best_state_weights", [abs(w) for w in result.best_state_weights.tolist()], False),
+    ]
 
     def human() -> list[str]:
         lines = [
@@ -550,19 +556,9 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[Report, int]:
             )
         return lines
 
-    def csv_rows() -> list[list]:
-        return [
-            ["key", "value"],
-            ["family", args.family],
-            ["dimension", d],
-            ["best_value", result.best_value],
-            ["reference_value", reference],
-            ["excess_over_reference", excess],
-            ["improved", result.improved],
-            ["trace_path", str(trace_path)],
-        ]
-
-    return Report(payload, human, csv_rows), EXIT_OK
+    fields = {key: value for key, value, _ in entries}
+    csv_pairs = [(key, value) for key, value, in_csv in entries if in_csv]
+    return _record_report("optimize", fields, human, csv_pairs), EXIT_OK
 
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[Report, int]:
@@ -580,15 +576,8 @@ def cmd_reproduce(args: argparse.Namespace) -> tuple[Report, int]:
         lines.append("all rows PASS" if all_pass else "some rows FAILED")
         return lines
 
-    report = Report(
-        lambda: _base_payload(
-            "reproduce",
-            tolerance=REPRODUCTION_RTOL,
-            all_pass=all_pass,
-            rows=[dict(zip(header, row)) for row in rows],
-        ),
-        human,
-        lambda: [header, *rows],
+    report = _table_report(
+        "reproduce", header, rows, human, tolerance=REPRODUCTION_RTOL, all_pass=all_pass
     )
     return report, EXIT_OK if all_pass else EXIT_CROSS_CHECK
 
@@ -686,7 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report, status = args.handler(args)
         _emit(args, report)
-    except UsageError as exc:
+    except (UsageError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CrossCheckError as exc:

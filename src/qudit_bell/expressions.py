@@ -270,40 +270,30 @@ def evaluate_via_correlators(expr: BellExpression, dist: JointDistribution) -> f
 
     Independent cross-check of `evaluate`: reconstructs the family value
     from difference-class probabilities instead of contracting the
-    coefficient tensor.
+    coefficient tensor or reading `shift_weights`.  Each bracket k adds
+    its weight times its added half minus its subtracted half; ``I`` is
+    bracket 0's added half.
     """
     _check_same_dimension(expr, dist)
-
-    def alice_leads(a: int, b: int, shift: int) -> float:
-        return correlator(dist, a, b, shift)
-
-    def bob_leads(a: int, b: int, shift: int) -> float:
-        return correlator(dist, a, b, -shift)
-
-    if expr.family == "I":
-        return (
-            alice_leads(0, 0, 0)
-            + bob_leads(1, 0, 1)
-            + alice_leads(1, 1, 0)
-            + bob_leads(0, 1, 0)
-        )
-
     d = expr.dimension
-    brackets = 1 if expr.family == "I3" else d // 2
     total = 0.0
-    for k in range(brackets):
+    for k in range(d // 2 if expr.family == "Id" else 1):
         w = (d - 1 - 2 * k) / (d - 1)
+        # P(A1 = B1 + k), P(B1 = A2 + k + 1), P(A2 = B2 + k), P(B2 = A1 + k)
         plus = (
-            alice_leads(0, 0, k)
-            + bob_leads(1, 0, k + 1)
-            + alice_leads(1, 1, k)
-            + bob_leads(0, 1, k)
+            correlator(dist, 0, 0, k)
+            + correlator(dist, 1, 0, -k - 1)
+            + correlator(dist, 1, 1, k)
+            + correlator(dist, 0, 1, -k)
         )
+        if expr.family == "I":
+            return plus
+        # P(A1 = B1 - k - 1), P(B1 = A2 - k), P(A2 = B2 - k - 1), P(B2 = A1 - k - 1)
         minus = (
-            alice_leads(0, 0, -k - 1)
-            + bob_leads(1, 0, -k)
-            + alice_leads(1, 1, -k - 1)
-            + bob_leads(0, 1, -k - 1)
+            correlator(dist, 0, 0, -k - 1)
+            + correlator(dist, 1, 0, k)
+            + correlator(dist, 1, 1, -k - 1)
+            + correlator(dist, 0, 1, k + 1)
         )
         total += w * (plus - minus)
     return total

@@ -78,7 +78,9 @@ def check_enumeration_cap(d: int, cap: int = ENUMERATION_CAP) -> None:
     applies to every tensor.
     `local_bound_bruteforce` raises through it; `local_bounds` runs it
     first, so it builds no coefficient tensor that the check rejects.
+    Raises `ValueError` when d is not an integer of at least 2.
     """
+    _check_dimension(d)
     total = d ** 4
     if total > cap:
         raise EnumerationCapError(

@@ -186,15 +186,11 @@ def closed_form_distribution(d: int) -> JointDistribution:
     """
     _check_dimension(d)
     levels = np.arange(d)
-    class_index = (levels[:, None] - levels[None, :]) % d
-    table = np.empty((2, 2, d, d))
-    for a, alpha in enumerate(REFERENCE_ALICE_SLOPES):
-        for b, beta in enumerate(REFERENCE_BOB_SLOPES):
-            class_prob = 1.0 / (
-                2.0 * d ** 3 * np.sin(np.pi * (levels + alpha + beta) / d) ** 2
-            )
-            table[a, b] = class_prob[class_index]
-    return _own_distribution(d, table)
+    alpha = np.array(REFERENCE_ALICE_SLOPES)[:, None, None]
+    beta = np.array(REFERENCE_BOB_SLOPES)[None, :, None]
+    # (a, b, m): the (2, 2, d) class probabilities, expanded like `build_expression`
+    class_prob = 1.0 / (2.0 * d ** 3 * np.sin(np.pi * (levels + alpha + beta) / d) ** 2)
+    return _own_distribution(d, class_prob[:, :, (levels[:, None] - levels[None, :]) % d])
 
 
 # `quantum_value`'s route: golden files pin its digits, and `threshold` needs

@@ -5,7 +5,8 @@ paper's local-model argument one strategy at a time.  The library only
 counts strategies and reads shift numerators, so these are the tests'
 independent reference for both bound routes.  `shift_weights_loop` writes
 a family's shift weights term by term, the reference for the library's
-slice form.
+slice form.  The `expression_builds` fixture records each dense tensor
+the bound routes build.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import qudit_bell.local_models as local_models
 from qudit_bell import BellExpression, JointDistribution, shift_interval
 
 
@@ -130,3 +132,17 @@ def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> flo
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def expression_builds(monkeypatch) -> list[tuple[str, int]]:
+    """The (family, d) of each `build_expression` call `local_models` makes, in order."""
+    calls = []
+    build = local_models.build_expression
+
+    def counting(family, d):
+        calls.append((family, d))
+        return build(family, d)
+
+    monkeypatch.setattr(local_models, "build_expression", counting)
+    return calls

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -116,7 +117,7 @@ def full_parse_main(argv):
     try:
         report, status = args.handler(args)
         cli._emit(args, report)
-    except cli.UsageError as exc:
+    except (cli.UsageError, cli.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_USAGE
     except cli.CrossCheckError as exc:
@@ -300,20 +301,7 @@ def test_bound_at_d_1000(capsys):
     assert payload["bruteforce_value"] is None
 
 
-def count_expression_builds(monkeypatch):
-    calls = []
-    build = local_models.build_expression
-
-    def counting(family, d):
-        calls.append((family, d))
-        return build(family, d)
-
-    monkeypatch.setattr(local_models, "build_expression", counting)
-    return calls
-
-
-def test_bound_past_the_cap_builds_no_expression(capsys, monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_bound_past_the_cap_builds_no_expression(capsys, expression_builds):
     code, out, _ = run(capsys, "bound", "-d", "57")
     assert code == 0
     assert out == (
@@ -329,7 +317,7 @@ def test_bound_past_the_cap_builds_no_expression(capsys, monkeypatch):
     assert payload["bruteforce_value"] is None
     assert payload["bruteforce_maximizers"] is None
     assert payload["attainable_values"] == sorted(local_bound_cases(57)[1], reverse=True)
-    assert calls == []
+    assert expression_builds == []
 
 
 PAST_THE_CAP_57 = (
@@ -338,31 +326,28 @@ PAST_THE_CAP_57 = (
 )
 
 
-def test_bound_family_I_past_the_cap_exits_2(capsys, monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_bound_family_I_past_the_cap_exits_2(capsys, expression_builds):
     code, out, err = run(capsys, "bound", "-d", "57", "--family", "I")
     assert code == 2
     assert out == ""
     assert err == PAST_THE_CAP_57
-    assert calls == []
+    assert expression_builds == []
 
 
-def test_bound_below_a_small_cap_skips_bruteforce(capsys, monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_bound_below_a_small_cap_skips_bruteforce(capsys, expression_builds):
     code, out, _ = run(capsys, "bound", "-d", "8", "--cap", "100")
     assert code == 0
     assert "brute force skipped: 8^4 exceeds cap 100" in out
-    assert calls == []
+    assert expression_builds == []
 
 
-def test_bound_at_the_cap_runs_both_routes(capsys, monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_bound_at_the_cap_runs_both_routes(capsys, expression_builds):
     code, out, _ = run(capsys, "bound", "-d", "56", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["bruteforce_value"] == payload["case_value"] == 2.0
     assert payload["bruteforce_maximizers"] == 1_727_936
-    assert calls == [("Id", 56)]
+    assert expression_builds == [("Id", 56)]
 
 
 BOUND_CAP_REASON = "bound takes O(d) memory, 2.1 MiB at the cap"
@@ -408,8 +393,7 @@ def test_bound_at_the_real_cap_edge(capsys):
     assert err == f"error: {BOUND_CAP_REASON}; d = 4097 exceeds the cap 4096\n"
 
 
-def test_bound_cap_admits_no_bruteforce_past_the_ceiling(capsys, monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_bound_cap_admits_no_bruteforce_past_the_ceiling(capsys, monkeypatch, expression_builds):
     assert local_models.BRUTEFORCE_MAX_DIMENSION == 300
     for d in ("301", "1000"):
         code, out, err = run(capsys, "bound", "-d", d, "--cap", "1000000000000")
@@ -431,7 +415,7 @@ def test_bound_cap_admits_no_bruteforce_past_the_ceiling(capsys, monkeypatch):
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert calls == [(family, 8) for family in FAMILIES]
+    assert expression_builds == [(family, 8) for family in FAMILIES]
 
 
 # ---------------------------------------------------------------- quantum
@@ -824,13 +808,14 @@ def test_sweep_rows_of_a_family_without_a_case_analysis(capsys, family):
 
 
 @pytest.mark.parametrize("family", ["I", "I3"])
-def test_sweep_family_past_the_cap_exits_2_before_any_row(capsys, monkeypatch, family):
-    calls = count_expression_builds(monkeypatch)
+def test_sweep_family_past_the_cap_exits_2_before_any_row(
+    capsys, monkeypatch, expression_builds, family
+):
     profiles = []
     monkeypatch.setattr(cli, "family_profile", lambda *args: profiles.append(args))
     code, out, err = run(capsys, "sweep", "-d", "2..57", "--family", family)
     assert (code, out, err) == (2, "", PAST_THE_CAP_57)
-    assert calls == [] and profiles == []
+    assert expression_builds == [] and profiles == []
 
 
 def test_sweep_single_dimension(capsys):
@@ -1060,14 +1045,28 @@ def test_bound_sweep_and_reproduce_leave_numpy_ma_unloaded():
         "        assert cli.main(argv) == 0, argv\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    source = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this source tree's package."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point_runs_main_and_exits_with_its_code():
+    proc = run_python("-m", "qudit_bell", "threshold", "-d", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (Path(__file__).parent / "golden" / "threshold_Id_d2.txt").read_text()
+    proc = run_python("-m", "qudit_bell", "bound", "-d", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: dimension must be >= 2, got 1\n"
 
 
 # ---------------------------------------------------------------- output file
@@ -1100,6 +1099,13 @@ def test_output_to_full_device_exits_2(capsys, tmp_path):
         "--trace-out", str(tmp_path / "trace.csv"), "--output", "/dev/full",
     )
     assert_write_error(code, err, "/dev/full")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_a_device_writes_it_in_place(capsys):
+    code, out, err = run(capsys, "threshold", "-d", "3", "--output", "/dev/null")
+    assert (code, out, err) == (0, "wrote /dev/null\n", "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
 
 def test_trace_out_under_regular_file_exits_2(capsys, tmp_path):

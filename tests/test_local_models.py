@@ -226,6 +226,22 @@ def test_bruteforce_cap_raises_with_pointer():
         local_bound_bruteforce(build_expression("Id", 4), cap=100)
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (2.5, "dimension must be an integer, got 2.5"),
+        ("3", "dimension must be an integer, got '3'"),
+        (1, "dimension must be >= 2, got 1"),
+        (-5, "dimension must be >= 2, got -5"),
+        (True, "dimension must be >= 2, got True"),
+    ],
+)
+def test_enumeration_cap_check_applies_the_dimension_rule(d, message):
+    with pytest.raises(ValueError) as raised:
+        check_enumeration_cap(d)
+    assert str(raised.value) == message
+
+
 def test_enumeration_cap_check_is_the_bruteforce_gate():
     check_enumeration_cap(56)  # 56^4 = 9,834,496 fits under the default cap
     check_enumeration_cap(3, cap=81)
@@ -457,18 +473,6 @@ def test_case_analysis_at_the_bound_cap_in_bounded_memory():
 # ---------------------------------------------------------------- local_bounds
 
 
-def count_expression_builds(monkeypatch):
-    calls = []
-    build = local_models.build_expression
-
-    def counting(family, d):
-        calls.append((family, d))
-        return build(family, d)
-
-    monkeypatch.setattr(local_models, "build_expression", counting)
-    return calls
-
-
 def test_local_bounds_raises_when_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(local_models, "local_bound_cases", lambda d: (2.5, {2.5}))
     with pytest.raises(CrossCheckError, match="^brute-force bound 2.0 disagrees with "
@@ -476,27 +480,24 @@ def test_local_bounds_raises_when_the_routes_disagree(monkeypatch):
         local_bounds("Id", 3)
 
 
-def test_local_bounds_past_the_cap_without_a_case_analysis(monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_local_bounds_past_the_cap_without_a_case_analysis(expression_builds):
     with pytest.raises(EnumerationCapError) as via_local_bounds:
         local_bounds("I", 57)
     with pytest.raises(EnumerationCapError) as direct:
         check_enumeration_cap(57)
     assert str(via_local_bounds.value) == str(direct.value)
-    assert calls == []
+    assert expression_builds == []
 
 
-def test_local_bounds_past_the_cap_runs_the_case_analysis_only(monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_local_bounds_past_the_cap_runs_the_case_analysis_only(expression_builds):
     result = local_bounds("Id", 57)
     assert result == (2.0, None, local_bound_cases(57))
-    assert calls == []
+    assert expression_builds == []
 
 
-def test_local_bounds_at_the_cap_runs_both_routes(monkeypatch):
-    calls = count_expression_builds(monkeypatch)
+def test_local_bounds_at_the_cap_runs_both_routes(expression_builds):
     result = local_bounds("Id", 56)
-    assert calls == [("Id", 56)]
+    assert expression_builds == [("Id", 56)]
     assert result.bound == 2.0
     assert result.bruteforce == (2.0, 1_727_936)
     assert result.cases == local_bound_cases(56)
