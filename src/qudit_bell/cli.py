@@ -76,8 +76,9 @@ THRESHOLD_MAX_DIMENSION = 2 ** 20
 # `optimize` replays its best point through the dense Born-rule table, about
 # 113 bytes times d^2 (tracemalloc at d = 1000 and 1024), and advances its
 # restarts in lockstep, about 500 bytes per restart and search parameter
-# (tracemalloc: 445 at d = 1000 with 104 restarts, 483 at d = 200 with 600,
-# 514 at d = 20 with 6000).  The two caps hold these near 113 and 260 MiB,
+# (tracemalloc peak before the replay, 20 evaluations per restart: 522 at
+# d = 1000 with 104 restarts, 485 at d = 200 with 600, 522 at d = 20 with
+# 6000).  The two caps hold these near 113 and 260 MiB,
 # under 0.5 GiB together; past either, `optimize` exits 2 before computing
 # anything.
 OPTIMIZE_MAX_DIMENSION = 1024

@@ -29,7 +29,9 @@ is replayed through the dense Born-rule table and tensor contraction.
 The search runs speculatively.  From a restart's current point every
 trial up to its next accepted move is known in advance: the pending
 walk step, then the +/- probes to the end of the sweep.  The restarts
-advance in lockstep; each round evaluates up to ``CHUNK`` of every live
+advance in lockstep in one flat loop: restart r's point, phase factors
+and step are row r of three arrays, and the rest of its state is entry
+r of plain lists.  Each round evaluates up to ``CHUNK`` of every live
 restart's pending trials in one kernel call, and each restart keeps the
 prefix up to its first hit, discarding the rest.  The restarts' moves
 are merged in restart order afterwards, so traces, evaluation indices
@@ -39,18 +41,19 @@ another, one trial at a time.
 A trial moves one coordinate of its restart's point, so the search
 builds its phase factors exp(i [phi_a(j) + chi_b(j)]) incrementally:
 each restart keeps the (4, d) factors of its current point, and a trial
-recomputes only the two that a moved phase enters (`_trial_builder`), or
-none for a moved weight.  Exponentials are elementwise, so the factors
-equal those computed from scratch bit for bit.  Start points compute
-them from scratch (`_phase_factors`).
+recomputes only the two that a moved phase enters, or none for a moved
+weight.  Tables built once per problem (`_probe_tables`) give each
+probe's coordinate, partner coordinates and cells, so a round's trials
+take a few numpy calls whatever their number (`_trials`).  Exponentials
+are elementwise, so the factors equal those computed from scratch bit
+for bit.  Start points compute them from scratch (`_phase_factors`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +88,8 @@ class OptimizationProblem:
     ``budget`` caps the total number of objective evaluations; it is
     split evenly across the restarts, each of which gets at least one,
     so ``restarts`` may not exceed it.  ``seed`` seeds
-    `numpy.random.SeedSequence` and must be non-negative.
+    `numpy.random.SeedSequence` and must be non-negative.  All three are
+    Python or numpy integers, and not bools.
     """
 
     dimension: int
@@ -98,6 +102,10 @@ class OptimizationProblem:
     def __post_init__(self) -> None:
         _check_dimension(self.dimension)
         _check_family(self.family)
+        for name in ("budget", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.restarts < 1:
@@ -163,66 +171,72 @@ def _phase_factors(dimension: int, block: np.ndarray) -> np.ndarray:
     return np.exp(1j * angles).reshape(count, 4 * d)
 
 
-def _trial_builder(
+def _probe_tables(
     problem: OptimizationProblem,
-) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """Compile a problem into the builder of a round's trials.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A problem's probe tables, and where each trial's row starts.
 
-    The returned function takes the restarts' current points and phase
-    factors, one row per restart, their steps, and each trial's restart
-    (``owner``) and probe.  Probe k adds +step (k even) or -step (k odd)
-    to coordinate k // 2.  It returns the trial points and their phase
-    factors, equal bit for bit to `_phase_factors` of those points: a
-    trial's factors are its restart's with the two cells of a moved phase
-    recomputed, since exponentials are elementwise, while a moved weight
-    changes none.  At most ``CHUNK`` trials per restart are expected.
+    Probe q moves coordinate q // 2 by +step (q even) or -step (q odd).
+    Phase coordinate p, setting s at level j, enters two cells of a row of
+    factors, one for each setting t of the other party, whose phase at
+    level j is added to it.  Row q of the first table holds the moved
+    coordinate, those two partner coordinates and the two cells; the
+    second holds the sign of the step.  A weight probe patches no cell; its
+    partners and cells repeat its coordinate.  Row i of the third holds
+    the offsets of trial i's point and factors in a round's flat arrays,
+    in the same five columns.
     """
     d = problem.dimension
     phase_count = problem.phase_count
-    # Phase coordinate p, setting s at level j, enters two cells of a row of
-    # factors, one for each setting t of the other party, whose phase at
-    # level j is added to it.  Row p of the table holds the offsets of those
-    # two partner coordinates from p, then the two cells.
-    settings, levels = np.divmod(np.arange(phase_count), d - 1)
+    coordinates = np.arange(problem.parameter_count)
+    settings, levels = np.divmod(coordinates[:phase_count], d - 1)
     other = np.arange(2)
     alice = (settings < 2)[:, None]
     own = (settings % 2)[:, None]
-    partners = (np.where(alice, 2, 0) + other) * (d - 1) + levels[:, None]
-    cells = np.where(alice, 2 * own + other, 2 * other + own) * d + levels[:, None] + 1
-    patch_table = np.hstack([partners - np.arange(phase_count)[:, None], cells])
-    signs = np.tile([1.0, -1.0], problem.parameter_count)
-    # Where each trial's row starts in the flattened points and factors.
-    rows = np.arange(CHUNK * problem.restarts)
-    point_starts = rows * problem.parameter_count
-    factor_starts = rows * (4 * d)
-    vary_weights = problem.vary_state_weights
+    table = np.repeat(coordinates[:, None], 5, axis=1)
+    table[:phase_count, 1:3] = (np.where(alice, 2, 0) + other) * (d - 1) + levels[:, None]
+    table[:phase_count, 3:] = (
+        np.where(alice, 2 * own + other, 2 * other + own) * d + levels[:, None] + 1
+    )
+    widths = [problem.parameter_count] * 3 + [4 * d] * 2
+    starts = np.arange(CHUNK * problem.restarts)[:, None] * widths
+    return table.repeat(2, axis=0), np.tile([1.0, -1.0], problem.parameter_count), starts
 
-    def trials(
-        current: np.ndarray,
-        cache: np.ndarray,
-        steps: np.ndarray,
-        owner: np.ndarray,
-        probes: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        count = len(owner)
-        coordinates = probes >> 1
-        points = current.take(owner, axis=0)
-        factors = cache.take(owner, axis=0)
-        flat_points = points.reshape(-1)
-        moved = point_starts[:count] + coordinates
-        flat_points[moved] += signs.take(probes) * steps.take(owner)
-        targets = factor_starts[:count]
-        if vary_weights:
-            phase = coordinates < phase_count
-            coordinates, moved, targets = coordinates[phase], moved[phase], targets[phase]
-        patches = patch_table.take(coordinates, axis=0)
-        angles = flat_points.take(moved)[:, None] + flat_points.take(
-            moved[:, None] + patches[:, :2]
-        )
-        factors.reshape(-1).put(targets[:, None] + patches[:, 2:], np.exp(1j * angles))
-        return points, factors
 
-    return trials
+def _trials(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    current: np.ndarray,
+    cache: np.ndarray,
+    steps: np.ndarray,
+    owner: np.ndarray,
+    probes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A round's trial points and their phase factors.
+
+    Trial i applies probe ``probes[i]`` to restart ``owner[i]``, whose
+    point, phase factors and step are that row of ``current``, ``cache``
+    and ``steps``; ``tables`` are the problem's `_probe_tables`.  The
+    factors equal `_phase_factors` of the points bit for bit: a trial's
+    factors are its restart's with the two cells of a moved phase
+    recomputed, since exponentials are elementwise, while a moved weight
+    changes none.  At most ``CHUNK`` trials per restart are expected.
+    """
+    table, signs, starts = tables
+    targets = table.take(probes, axis=0) + starts[: len(probes)]
+    points = current.take(owner, axis=0)
+    flat = points.reshape(-1)
+    values = flat.take(targets[:, :3])
+    moved = values[:, 0] + signs.take(probes) * steps.take(owner)
+    flat.put(targets[:, 0], moved)
+    angles = moved[:, None] + values[:, 1:]
+    cells = targets[:, 3:]
+    phase_probes = 2 * (cache.shape[1] - 4)  # two for each of the 4 (d - 1) phases
+    if len(signs) > phase_probes:  # free weights: a weight probe patches no cell
+        phase = probes < phase_probes
+        angles, cells = angles[phase], cells[phase]
+    factors = cache.take(owner, axis=0)
+    factors.reshape(-1).put(cells, np.exp(1j * angles))
+    return points, factors
 
 
 def _value_kernel(problem: OptimizationProblem) -> Callable[..., np.ndarray]:
@@ -294,81 +308,6 @@ def _initial_point(problem: OptimizationProblem, rng: np.random.Generator) -> np
     return np.concatenate(parts)
 
 
-@dataclass(eq=False)
-class _Restart:
-    """One restart of the pattern search, advanced a batch of trials at a time.
-
-    Probe k of a sweep moves coordinate k // 2 by +step (k even) or
-    -step (k odd).  After a hit on probe k the restart walks: it retries
-    probe k from the new point until that misses, then resumes the sweep
-    at probe 2 (k // 2 + 1).  The restart's current point, its phase
-    factors and its step live in row ``row`` of the search's arrays.
-    ``moves`` logs every accepted value, the initial one included, as
-    (evaluation, value), with evaluations counted from 1 within this
-    restart; ``best_point`` is the point of the first move that beats
-    every earlier move (strict ``>``, so never a NaN).
-    """
-
-    row: int
-    fx: float
-    remaining: int
-    position: int = 0
-    moved: bool = False
-    walk: int | None = None
-    consumed: int = 1
-    moves: list[tuple[int, float]] = field(default_factory=list)
-    best: float = -math.inf
-    best_point: np.ndarray | None = None
-
-    def record(self, point: np.ndarray) -> None:
-        """Log the move to ``point``, whose value is ``fx``."""
-        self.moves.append((self.consumed, self.fx))
-        if self.fx > self.best:
-            self.best, self.best_point = self.fx, point.copy()
-
-    def pending(self, sweep: int) -> list[int]:
-        """Probes of the trials up to the next possible move.
-
-        Every trial up to the next hit is known in advance: the walk step,
-        then the probes to the end of the sweep.  At most ``CHUNK`` of them
-        are returned, and never more than the remaining budget.
-        """
-        limit = min(CHUNK, self.remaining)
-        probes = list(range(self.position, min(sweep, self.position + limit)))
-        if self.walk is not None:
-            probes = [self.walk, *probes][:limit]
-        return probes
-
-    def consume(
-        self, probes: list[int], values: list[float], sweep: int, steps: np.ndarray
-    ) -> int | None:
-        """Keep the prefix of the trials that the one-at-a-time search makes.
-
-        That prefix ends at the first trial with ``not (f <= fx)``, which
-        also accepts a NaN value; later trials started from a stale point
-        and are dropped.  Returns the index of that hit, or None.  A sweep
-        that ends without a move halves this restart's entry of ``steps``.
-        """
-        hit = next((i for i, value in enumerate(values) if not value <= self.fx), None)
-        used = len(values) if hit is None else hit + 1
-        self.consumed += used
-        self.remaining -= used
-        if hit is not None:
-            self.fx = values[hit]
-            self.moved = True
-            self.walk = probes[hit]
-            self.position = (self.walk | 1) + 1
-            return hit
-        self.position += used - (self.walk is not None)
-        self.walk = None
-        if self.position == sweep:
-            if not self.moved:
-                steps[self.row] *= 0.5
-            self.moved = False
-            self.position = 0
-        return None
-
-
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Run the seeded random-restart pattern search.
 
@@ -383,7 +322,7 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
     or -inf, raises `CrossCheckError`.
     """
     values_of = _value_kernel(problem)
-    trials_of = _trial_builder(problem)
+    tables = _probe_tables(problem)
     sweep = 2 * problem.parameter_count
     per_restart = problem.budget // problem.restarts
     # Row r holds restart r's current point, its phase factors and its step.
@@ -393,34 +332,78 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
     ])
     cache = _phase_factors(problem.dimension, current)
     steps = np.full(problem.restarts, INITIAL_STEP)
-    restarts = [
-        _Restart(row, fx, per_restart - 1)
-        for row, fx in enumerate(values_of(current, cache).tolist())
-    ]
-    for restart in restarts:
-        restart.record(current[restart.row])
+    # Entry r of each list is restart r's state: its value, its unspent
+    # budget, its next sweep probe, the probe it retries after a hit (or
+    # None), whether this sweep moved, and the evaluations it consumed.
+    # After a hit on probe q the restart walks: it retries q from the new
+    # point until that misses, then resumes the sweep at probe 2 (q // 2 + 1).
+    # ``moves`` logs every accepted value, the initial one included, as
+    # (evaluation, value), counted from 1 within the restart; ``best_point``
+    # is the point of the first move that beats every earlier move (strict
+    # ``>``, so never a NaN).
+    fx = values_of(current, cache).tolist()
+    rows = range(problem.restarts)
+    remaining = [per_restart - 1] * problem.restarts
+    position = [0] * problem.restarts
+    walk: list[int | None] = [None] * problem.restarts
+    moved = [False] * problem.restarts
+    consumed = [1] * problem.restarts
+    moves = [[(1, value)] for value in fx]
+    best = [-math.inf] * problem.restarts
+    best_point: list[np.ndarray | None] = [None] * problem.restarts
+    for r in rows:
+        if fx[r] > best[r]:
+            best[r], best_point[r] = fx[r], current[r].copy()
 
-    live = restarts
-    while live := [
-        restart for restart in live
-        if restart.remaining > 0 and steps[restart.row] > MIN_STEP
-    ]:
-        batches = [restart.pending(sweep) for restart in live]
-        owner = np.array([restart.row for restart in live]).repeat(
-            [len(probes) for probes in batches]
-        )
-        probes = np.fromiter(itertools.chain.from_iterable(batches), np.intp, len(owner))
-        points, factors = trials_of(current, cache, steps, owner, probes)
+    live = list(rows)
+    while live := [r for r in live if remaining[r] > 0 and steps[r] > MIN_STEP]:
+        # Every trial up to a restart's next possible move is known: the
+        # walk step, then the probes to the end of the sweep.
+        keys: list[int] = []  # restart r's probe q is key r * sweep + q
+        ends = []
+        for r in live:
+            start, retry, base = position[r], walk[r], r * sweep
+            limit = min(CHUNK, remaining[r])
+            if retry is not None:
+                keys.append(base + retry)
+                limit -= 1
+            keys += range(base + start, base + min(sweep, start + limit))
+            ends.append(len(keys))
+        owner, probes = np.divmod(np.array(keys), sweep)
+        points, factors = _trials(tables, current, cache, steps, owner, probes)
         values = values_of(points, factors).tolist()
-        offset = 0
-        for restart, probes in zip(live, batches):
-            end = offset + len(probes)
-            hit = restart.consume(probes, values[offset:end], sweep, steps)
-            if hit is not None:
-                current[restart.row] = points[offset + hit]
-                cache[restart.row] = factors[offset + hit]
-                restart.record(current[restart.row])
-            offset = end
+        # Each restart keeps the prefix of its trials that the one-at-a-time
+        # search makes: it ends at the first ``not (f <= fx)``, which also
+        # accepts a NaN; later trials started from a stale point.
+        start = 0
+        for r, end in zip(live, ends):
+            incumbent = fx[r]
+            for i in range(start, end):
+                if not values[i] <= incumbent:
+                    probe, used = keys[i] - r * sweep, i + 1 - start
+                    consumed[r] += used
+                    remaining[r] -= used
+                    fx[r] = values[i]
+                    moved[r] = True
+                    walk[r] = probe
+                    position[r] = (probe | 1) + 1
+                    current[r, probe >> 1] = points[i, probe >> 1]
+                    cache[r] = factors[i]
+                    moves[r].append((consumed[r], fx[r]))
+                    if fx[r] > best[r]:
+                        best[r], best_point[r] = fx[r], current[r].copy()
+                    break
+            else:
+                consumed[r] += end - start
+                remaining[r] -= end - start
+                position[r] += end - start - (walk[r] is not None)
+                walk[r] = None
+                if position[r] == sweep:
+                    if not moved[r]:
+                        steps[r] *= 0.5
+                    moved[r] = False
+                    position[r] = 0
+            start = end
 
     # Merge in restart order, as if the restarts had run one after another.
     # The last incumbent a restart sets is its best point.
@@ -428,13 +411,13 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
     best_value = -math.inf
     best_params: np.ndarray | None = None
     offset = 0
-    for restart in restarts:
-        for evaluation, value in restart.moves:
+    for r in rows:
+        for evaluation, value in moves[r]:
             if value > best_value:
-                best_value, best_params = value, restart.best_point
+                best_value, best_params = value, best_point[r]
                 trace.append((offset + evaluation, value))
-        offset += restart.consumed
-    initial_value = restarts[0].moves[0][1]
+        offset += consumed[r]
+    initial_value = moves[0][0][1]
 
     if best_params is None:
         raise CrossCheckError(
@@ -456,5 +439,5 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         best_state_weights=setup.state_weights,
         trace=tuple(trace),
         improved=best_value > initial_value,
-        evaluations=sum(restart.consumed for restart in restarts),
+        evaluations=sum(consumed),
     )

@@ -252,9 +252,11 @@ def quantum_value(d: int) -> float:
     tensor-contraction route.
     """
     _check_dimension(d)
-    k = np.arange(d // 2)
+    h = d // 2
+    k = np.arange(h)
     weights = (d - 1 - 2 * k) / (d - 1)
-    gaps = _correlator_values(k, d) - _correlator_values(-(k + 1), d)
+    q = _correlator_values(np.arange(-h, h), d)  # q_{-h} .. q_{h-1}, one pass
+    gaps = q[h:] - q[h - 1 :: -1]
     return float(4.0 * np.sum(weights * gaps))
 
 

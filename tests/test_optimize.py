@@ -1,6 +1,7 @@
 """Derivative-free phase search over measurement setups."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,9 @@ from qudit_bell.optimize import (
     MIN_STEP,
     _initial_point,
     _phase_factors,
+    _probe_tables,
     _setup_from_parameters,
-    _trial_builder,
+    _trials,
     _value_kernel,
 )
 
@@ -45,6 +47,26 @@ def test_problem_validation():
         OptimizationProblem(dimension=3, budget=10, restarts=20)
     with pytest.raises(ValueError, match="seed"):
         OptimizationProblem(dimension=3, seed=-1)
+    # Search settings are Python or numpy integers, never bools.
+    for name, value in [
+        ("budget", 10.0), ("budget", True), ("budget", "10"),
+        ("restarts", 2.0), ("restarts", True), ("restarts", np.float64(2.0)),
+        ("seed", 1.5), ("seed", False), ("seed", None),
+    ]:
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizationProblem(dimension=3, **{name: value})
+    with pytest.raises(ValueError, match="^budget must be an integer, got True$"):
+        OptimizationProblem(dimension=3, budget=True, restarts=True)
+
+
+def test_problem_accepts_numpy_integer_settings():
+    problem = OptimizationProblem(
+        dimension=3, budget=np.int64(30), restarts=np.int32(2), seed=np.uint8(1)
+    )
+    result = maximize(problem)
+    assert result.evaluations == 30
+    assert result.trace == maximize(OptimizationProblem(3, budget=30, restarts=2, seed=1)).trace
 
 
 def test_parameter_count():
@@ -277,8 +299,8 @@ def test_trial_factors_equal_the_full_kernel(d):
                 [0, 1, sweep - 2, sweep - 1],
                 rng.integers(sweep, size=2 * CHUNK - 4),
             ])
-            points, factors = _trial_builder(problem)(
-                current, _phase_factors(d, current), steps, owner, probes
+            points, factors = _trials(
+                _probe_tables(problem), current, _phase_factors(d, current), steps, owner, probes
             )
 
             expected = current[owner]
@@ -388,6 +410,19 @@ def test_batched_search_equals_sequential_search(budget, restarts):
     for problem in _problems(range(2, 13), budget=budget, restarts=restarts, seed=budget):
         evaluations = _assert_matches_sequential(problem)
         assert evaluations == (budget // restarts) * restarts
+
+
+@pytest.mark.parametrize("family", ["I", "Id"])
+@pytest.mark.parametrize("d", [2, 7, 12])
+def test_batched_search_equals_sequential_search_at_the_deck_setting(d, family):
+    # budget 1500 with 3 restarts: walks cross rounds and restarts stop at
+    # different rounds
+    for weights in VARY_STATE_WEIGHTS:
+        problem = OptimizationProblem(
+            dimension=d, family=family, vary_state_weights=weights,
+            budget=1500, restarts=3, seed=d,
+        )
+        _assert_matches_sequential(problem)
 
 
 def test_evaluations_count_the_whole_budget_when_no_restart_stops_early():

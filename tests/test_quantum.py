@@ -307,6 +307,23 @@ def test_quantum_value_matches_direct_evaluation():
         assert quantum_value(d) == pytest.approx(direct, abs=1e-12)
 
 
+def test_quantum_value_equals_the_two_pass_correlator_sum():
+    # The oracle evaluates the added and the subtracted correlators in two
+    # passes; the library's one pass over -h .. h-1 is elementwise, so the
+    # two agree bit for bit.
+    def two_pass(d):
+        k = np.arange(d // 2)
+        weights = (d - 1 - 2 * k) / (d - 1)
+        gaps = (
+            quantum_module._correlator_values(k, d)
+            - quantum_module._correlator_values(-(k + 1), d)
+        )
+        return float(4.0 * np.sum(weights * gaps))
+
+    for d in [*range(2, 258), 4096, 65536, 65537, 2**20]:
+        assert quantum_value(d) == two_pass(d), d
+
+
 def test_quantum_value_monotone_increasing():
     values = [quantum_value(d) for d in range(2, 102)]
     assert all(b > a for a, b in zip(values, values[1:]))
